@@ -8,7 +8,6 @@ methods that cross-check each other.
 """
 
 from .algebra import (
-    KERNEL_BACKEND,
     ONE,
     ZERO,
     LaurentPoly,
@@ -52,7 +51,6 @@ from .series import BivariateEGF, ConstantTermError, MixedOrderError, TaylorEGF
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND",
     "ONE",
     "ZERO",
     "LaurentPoly",

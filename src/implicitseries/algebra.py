@@ -1,8 +1,17 @@
 """Exact coefficient arithmetic: rationals and sparse Laurent polynomials.
 
-Scalars are ``fractions.Fraction`` (always reduced, positive denominator).
+Scalars are exact and canonical: an ``int`` when the value is integral,
+otherwise a reduced ``fractions.Fraction`` with positive denominator.  Values
+are brought into that form where they enter the ring or are scaled
+(`as_coefficient`, `invert_scalar`, `LaurentPoly.const`, scalar products).
+The term kernel (`mul_terms`, `add_terms`) makes no per-term check: int
+coefficients stay ints through it, so all of the symbolic expansion is plain
+``int`` arithmetic, while a product or sum of non-integral Fractions that
+happens to be integral stays a Fraction of denominator 1, which equals and
+hashes like the int.
+
 Symbolic values are :class:`LaurentPoly`: sparse multivariate polynomials
-with rational coefficients over two families of indeterminates,
+with such coefficients over two families of indeterminates,
 
 * ``F(m, n)`` -- a Taylor coefficient of the implicit equation,
 * ``X(i)``   -- a Bell/Stirling indeterminate, ``i >= 1``,
@@ -10,27 +19,11 @@ with rational coefficients over two families of indeterminates,
 where exactly ``F(0, 1)`` and ``X(1)`` are invertible: only they may carry
 negative exponents.  Everything is immutable after construction and all
 arithmetic is exact.
-
-The inner loops (term merging, products) live in a kernel module that
-exists twice: a compiled Cython extension and a pure-Python fallback with
-identical semantics.  Whichever imports is used; set ``IMPLICITSERIES_PURE``
-in the environment to force the fallback.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
-
-if os.environ.get("IMPLICITSERIES_PURE"):
-    from . import _kernels_py as _kern
-else:
-    try:
-        from . import _kernels as _kern  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernels_py as _kern  # type: ignore[no-redef]
-
-KERNEL_BACKEND = _kern.BACKEND
 
 
 class NotInvertibleError(ArithmeticError):
@@ -46,8 +39,8 @@ _F_SHIFT = 20
 _INDEX_LIMIT = 1 << _F_SHIFT
 _X_BASE = 1 << 50
 
-# Kernel exponent arithmetic must stay within 64-bit range; far beyond any
-# exponent this engine can meaningfully produce.
+# Exponents entering the ring stay below this bound, far beyond any exponent
+# this engine can meaningfully produce, so a runaway value fails loudly.
 _EXP_LIMIT = 1 << 40
 
 
@@ -111,12 +104,121 @@ def _canonical_monomial(factors) -> tuple:
     return tuple(out)
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial with Fraction coefficients.
+def _canonical(value):
+    """An exact scalar in canonical form: int when integral, else Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
-    Internally a dict mapping flat monomial tuples to nonzero Fractions;
-    never mutated after construction, so instances are safe to share and
-    to use as dict keys.
+
+# -- term kernel ---------------------------------------------------------
+#
+# A polynomial's raw data is a dict mapping monomials to nonzero canonical
+# coefficients; a monomial is a flat tuple (code0, exp0, code1, exp1, ...)
+# with codes strictly increasing and no zero exponents, and the empty tuple
+# is the unit monomial.
+
+
+def mon_mul(a, b):
+    """Merge two monomials, adding exponents; cancelled factors drop out."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    na, nb = len(a), len(b)
+    i = j = 0
+    while i < na and j < nb:
+        ca = a[i]
+        cb = b[j]
+        if ca == cb:
+            e = a[i + 1] + b[j + 1]
+            if e:
+                out.append(ca)
+                out.append(e)
+            i += 2
+            j += 2
+        elif ca < cb:
+            out.append(ca)
+            out.append(a[i + 1])
+            i += 2
+        else:
+            out.append(cb)
+            out.append(b[j + 1])
+            j += 2
+    if i < na:
+        out.extend(a[i:])
+    if j < nb:
+        out.extend(b[j:])
+    return tuple(out)
+
+
+def mon_pow(m, k):
+    """Raise a monomial to an integer power (k may be negative)."""
+    if k == 0:
+        return ()
+    out = list(m)
+    for i in range(1, len(out), 2):
+        out[i] *= k
+    return tuple(out)
+
+
+def mul_terms(a, b):
+    """Exact product of two term dicts, with like-monomial accumulation."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = mon_mul(ma, mb)
+            c = get(m)
+            if c is None:
+                out[m] = ca * cb
+            else:
+                c = c + ca * cb
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+    return out
+
+
+def add_terms(a, b):
+    """Sum of two term dicts; zero coefficients are dropped."""
+    out = dict(a)
+    get = out.get
+    for m, c in b.items():
+        prev = get(m)
+        if prev is None:
+            out[m] = c
+        else:
+            s = prev + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def scale_terms(a, c):
+    """Term dict scaled by a nonzero scalar; the products are made
+    canonical, since an int factor can make a Fraction integral."""
+    out = {}
+    for m, cm in a.items():
+        v = c * cm
+        out[m] = v if type(v) is int else _canonical(v)
+    return out
+
+
+class LaurentPoly:
+    """Sparse Laurent polynomial with exact scalar coefficients.
+
+    Internally a dict mapping flat monomial tuples to nonzero canonical
+    scalars; never mutated after construction, so instances are safe to
+    share and to use as dict keys.
     """
 
     __slots__ = ("_terms", "_hash")
@@ -138,12 +240,12 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, value) -> "LaurentPoly":
-        c = Fraction(value)
+        c = _canonical(value)
         return cls._raw({(): c} if c else {})
 
     @classmethod
     def variable(cls, code: int) -> "LaurentPoly":
-        return cls._raw({(code, 1): Fraction(1)})
+        return cls._raw({(code, 1): 1})
 
     # -- queries ---------------------------------------------------------
 
@@ -172,7 +274,7 @@ class LaurentPoly:
         if not self.is_unit():
             raise NotInvertibleError(f"not a unit: {self}")
         ((mon, c),) = self._terms.items()
-        return LaurentPoly._raw({_kern.mon_pow(mon, -1): 1 / c})
+        return LaurentPoly._raw({mon_pow(mon, -1): invert_scalar(c)})
 
     def single_variable_code(self) -> int:
         """The code of a bare variable (one term, coefficient 1, exponent 1)."""
@@ -219,12 +321,12 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return LaurentPoly._raw(_kern.add_terms(self._terms, o._terms))
+        return LaurentPoly._raw(add_terms(self._terms, o._terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._raw(_kern.scale_terms(self._terms, -1)) if self._terms else self
+        return LaurentPoly._raw({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -240,11 +342,11 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            return LaurentPoly._raw(_kern.mul_terms(self._terms, other._terms))
+            return LaurentPoly._raw(mul_terms(self._terms, other._terms))
         if isinstance(other, (int, Fraction)):
             if not other:
                 return _ZERO
-            return LaurentPoly._raw(_kern.scale_terms(self._terms, Fraction(other)))
+            return LaurentPoly._raw(scale_terms(self._terms, other))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -272,8 +374,9 @@ class LaurentPoly:
 
     # -- evaluation ------------------------------------------------------
 
-    def eval(self, assignment) -> Fraction:
-        """Evaluate at an assignment {variable or code: rational}.
+    def eval(self, assignment):
+        """Evaluate at an assignment {variable or code: rational}; the value
+        is canonical (an int when integral, otherwise a Fraction).
 
         Raises KeyError for an indeterminate without a value and
         ZeroDivisionError when a negative power meets the value 0.
@@ -297,7 +400,7 @@ class LaurentPoly:
                     )
                 v *= base ** e
             total += v
-        return total
+        return _canonical(total)
 
     # -- presentation ----------------------------------------------------
 
@@ -346,17 +449,17 @@ class LaurentPoly:
 def _normalize_raw(terms) -> dict:
     """Normalize raw term data into the canonical dict representation."""
     items = terms.items() if isinstance(terms, dict) else terms
-    acc: dict[tuple, Fraction] = {}
+    acc: dict[tuple, int | Fraction] = {}
     for mon, c in items:
         mon = _canonical_monomial(zip(mon[::2], mon[1::2]))
-        c = Fraction(c)
+        c = _canonical(c)
         if not c:
             continue
         prev = acc.get(mon)
         if prev is None:
             acc[mon] = c
         else:
-            s = prev + c
+            s = _canonical(prev + c)
             if s:
                 acc[mon] = s
             else:
@@ -365,7 +468,7 @@ def _normalize_raw(terms) -> dict:
 
 
 _ZERO = LaurentPoly._raw({})
-_ONE = LaurentPoly._raw({(): Fraction(1)})
+_ONE = LaurentPoly._raw({(): 1})
 
 ZERO = _ZERO
 ONE = _ONE
@@ -397,27 +500,28 @@ def poly_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return a * b
 
 
-def poly_eval(p: LaurentPoly, assignment) -> Fraction:
+def poly_eval(p: LaurentPoly, assignment):
     """Evaluate a polynomial at rational values; see LaurentPoly.eval."""
     return p.eval(assignment)
 
 
 def invert_scalar(c):
-    """Multiplicative inverse in the coefficient ring.
+    """Multiplicative inverse in the coefficient ring, in canonical form.
 
-    Fractions (and ints) invert when nonzero; LaurentPoly values invert
-    exactly when they are unit monomials.
+    Rationals invert when nonzero; LaurentPoly values invert exactly when
+    they are unit monomials.
     """
     if isinstance(c, LaurentPoly):
         return c.unit_inverse()
     c = Fraction(c)
     if not c:
         raise NotInvertibleError("zero has no inverse")
-    return 1 / c
+    return _canonical(1 / c)
 
 
 def as_coefficient(value):
-    """Coerce a scalar into a coefficient-ring element (pass polys through)."""
-    if isinstance(value, LaurentPoly):
+    """Coerce a scalar into canonical form -- an int when integral,
+    otherwise a reduced Fraction -- and pass polynomials through."""
+    if type(value) is int or isinstance(value, LaurentPoly):
         return value
-    return Fraction(value)
+    return _canonical(value)

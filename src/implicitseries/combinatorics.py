@@ -12,7 +12,6 @@ doubles as the coefficient formula for compositional inversion of a series.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -100,49 +99,54 @@ def bell_partial(n: int, k: int) -> LaurentPoly:
                 denom *= factorial(ri) * factorial(i) ** ri
                 mon.append(xcode(i))
                 mon.append(ri)
-        # distinct multiplicity vectors give distinct monomials
-        terms[tuple(mon)] = Fraction(factorial(n), denom)
+        # distinct multiplicity vectors give distinct monomials; the weight
+        # counts set partitions, so the division is exact
+        terms[tuple(mon)] = factorial(n) // denom
     return LaurentPoly._raw(terms)
 
 
-def bell_eval(n: int, k: int, args):
+def bell_eval(n: int, k: int, args, memo=None):
     """B(n, k) evaluated at ring elements args = (x_1, x_2, ...).
 
     Independent of `bell_partial`: uses the convolution recurrence
     B(n, k) = sum_i C(n-1, i-1) * x_i * B(n-i, k-1).  Only the first
     n - k + 1 entries of args are read.
+
+    `memo` is an optional dict of values B(n', k') at these same args,
+    keyed by (n', k'); a caller that evaluates many (n, k) at one argument
+    sequence passes the same dict each time and owns its lifetime.
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
     if k > n or k == 0:
         return 1 if n == k else 0
     need = n - k + 1
-    args = tuple(args[:need])
     if len(args) < need:
         raise ValueError(f"need {need} arguments for B({n},{k}), got {len(args)}")
-    return _bell_eval(n, k, args)
+    return _bell_eval(n, k, args, {} if memo is None else memo)
 
 
-@lru_cache(maxsize=None)
-def _bell_eval(n, k, args):
-    if n == 0:
-        return 1 if k == 0 else 0
+def _bell_eval(n, k, args, memo):
     if k == 0:
-        return 0
+        return 1 if n == 0 else 0
+    hit = memo.get((n, k))
+    if hit is not None:
+        return hit
     total = 0
     for i in range(1, n - k + 2):
         x = args[i - 1]
         if x:
-            sub = _bell_eval(n - i, k - 1, args[: max(n - i - k + 2, 0)])
+            sub = _bell_eval(n - i, k - 1, args, memo)
             if sub:
                 total = total + comb(n - 1, i - 1) * x * sub
+    memo[(n, k)] = total
     return total
 
 
 def inverse_partition_terms(n: int):
     """The partition-sum terms behind the explicit first-kind polynomial of
     index (n, 1): pairs (r, c) with r running over all multiplicity vectors
-    of partitions of 2n-2 elements into n-1 blocks and
+    of partitions of 2n-2 elements into n-1 blocks and the int
 
         c = (-1)^(n-1-r_1) * (2n-2-r_1)! / (r_2! ... r_n! (2!)^r_2 ... (n!)^r_n).
     """
@@ -156,7 +160,9 @@ def inverse_partition_terms(n: int):
             if ri:
                 denom *= factorial(ri) * factorial(i) ** ri
         sign = -1 if (n - 1 - r1) % 2 else 1
-        yield r, Fraction(sign * factorial(2 * n - 2 - r1), denom)
+        # a count of set partitions of the 2n-2-r_1 elements outside
+        # singleton blocks, so the division is exact
+        yield r, sign * (factorial(2 * n - 2 - r1) // denom)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,8 @@ The grammar is deliberately small:
 Numbers are nonnegative integer or p/q rational literals; "1/2" lexes as
 one token when the slash immediately joins two digit runs, so it binds
 tighter than division.  '^' takes integer literal exponents only and binds
-tighter than unary minus.  There is no implicit multiplication.
+tighter than unary minus; an exponent, tower or not, may not exceed
+MAX_EXPONENT in magnitude.  There is no implicit multiplication.
 """
 
 from __future__ import annotations
@@ -42,6 +43,12 @@ class Token(NamedTuple):
 
 
 _OPS = set("+-*/^()")
+
+# Largest exponent magnitude the parser accepts.  A series power costs about
+# log2(exponent) products, so this is far beyond any useful exponent; the
+# bound is checked before a tower is evaluated, so that x^9^9^9 fails at once
+# instead of building an integer of some 370 million digits.
+MAX_EXPONENT = 10**6
 
 
 def tokenize(src):
@@ -180,12 +187,20 @@ class _Parser:
             )
         if "/" in tok.text:
             raise ParseError("exponents must be integer literals", tok.pos)
-        e = int(tok.text)
+        digits = tok.text.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ParseError(f"exponent exceeds the limit {MAX_EXPONENT}", tok.pos)
+        e = int(digits)
         if self.at_op("^"):
             self.take()
             rest = self.parse_exponent()
             if rest < 0:
                 raise ParseError("exponent tower with a negative upper level", tok.pos)
+            # for e >= 2, e ** rest >= 2 ** rest, which passes the limit once
+            # rest reaches its bit length
+            if e > 1 and (rest >= MAX_EXPONENT.bit_length() or e ** rest > MAX_EXPONENT):
+                raise ParseError(
+                    f"exponent tower {e}^{rest} exceeds the limit {MAX_EXPONENT}", tok.pos)
             e = e ** rest
         return sign * e
 

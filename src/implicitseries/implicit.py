@@ -12,9 +12,9 @@ ways:
 * newton    -- order-by-order elimination of the residual f(x, y(x)),
                which touches none of the combinatorial machinery.
 
-In rational mode the coefficients are Fractions; in symbolic mode they are
-Laurent polynomials in the table symbols, with negative powers of F(0, 1)
-only.
+In rational mode the coefficients are exact scalars -- an int when
+integral, otherwise a Fraction; in symbolic mode they are Laurent
+polynomials in the table symbols, with negative powers of F(0, 1) only.
 """
 
 from __future__ import annotations
@@ -33,10 +33,15 @@ from .algebra import (
     fsym,
     invert_scalar,
 )
-from .combinatorics import bell_eval, comp_inverse_coeff_poly, compositions, partition_sequences
+from .combinatorics import (
+    bell_eval,
+    comp_inverse_coeff_poly,
+    compositions,
+    inverse_partition_terms,
+)
 from .series import BivariateEGF, TaylorEGF
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 class TableError(ValueError):
@@ -55,9 +60,9 @@ class CoeffTable:
     """Taylor coefficients of the implicit equation on a square index box.
 
     Entries live at 0 <= m, n <= order; absent means zero.  The mode is
-    'rational' (Fraction entries) or 'symbolic' (Laurent polynomial
-    entries).  Instances are immutable; derived series and powers are
-    memoized on the table.
+    'rational' (exact scalar entries: int when integral, else Fraction) or
+    'symbolic' (Laurent polynomial entries).  Instances are immutable;
+    derived series, powers and Bell values are memoized on the table.
     """
 
     __slots__ = ("order", "mode", "_entries", "_cache")
@@ -74,7 +79,7 @@ class CoeffTable:
             if mode == "rational":
                 if isinstance(v, LaurentPoly):
                     raise TableError("rational mode cannot hold symbolic entries")
-                v = Fraction(v)
+                v = as_coefficient(v)
             elif not isinstance(v, LaurentPoly):
                 v = LaurentPoly.const(v)
             if v:
@@ -219,14 +224,13 @@ def inverse_taylor_coeff(table, k, l):
     ensure_valid(table)
     total = 0
     lfact = factorial(l)
-    for r in partition_sequences(2 * k - 2, k - 1, k):
-        weight = _partition_weight(k, r)
+    for r, weight in inverse_partition_terms(k):
         # slots that actually carry a factor: column 1 always (its exponent
         # r_1 - 2k + 1 < 0), plus every higher column with r_nu > 0
         slots = [(1, r[0] - 2 * k + 1)]
         slots.extend((nu, r[nu - 1]) for nu in range(2, k + 1) if r[nu - 1])
         for j in compositions(l, len(slots)):
-            term = weight * Fraction(lfact, _prod_factorials(j))
+            term = weight * (lfact // _prod_factorials(j))
             for (nu, exponent), jv in zip(slots, j):
                 c = _column_power(table, nu, exponent).coeffs[jv]
                 if not c:
@@ -235,20 +239,9 @@ def inverse_taylor_coeff(table, k, l):
                 term = term * c
             if term:
                 total = total + term
-    total = total if isinstance(total, LaurentPoly) else as_coefficient(total)
+    total = as_coefficient(total)
     table._cache[key] = total
     return total
-
-
-def _partition_weight(k, r):
-    # (-1)^(k-1-r_1) (2k-2-r_1)! / (r_2! ... r_k! (2!)^r_2 ... (k!)^r_k)
-    r1 = r[0]
-    denom = 1
-    for i in range(2, k + 1):
-        if r[i - 1]:
-            denom *= factorial(r[i - 1]) * factorial(i) ** r[i - 1]
-    sign = -1 if (k - 1 - r1) % 2 else 1
-    return Fraction(sign * factorial(2 * k - 2 - r1), denom)
 
 
 def _prod_factorials(j):
@@ -269,6 +262,9 @@ def y_coeff_direct(table, m):
     if not (1 <= m <= table.order):
         raise TableError("coefficient index outside the table order")
     args = tuple(table.entry(i, 0) for i in range(1, m + 1))
+    # B(n, k) at column 0 is the same for every m, so its memo lives on
+    # the table
+    bell_memo = table._cache.setdefault("bell", {})
     total = 0
     for n in range(1, m + 1):
         inner = 0
@@ -276,19 +272,25 @@ def y_coeff_direct(table, m):
             a = inverse_taylor_coeff(table, k, m - n)
             if not a:
                 continue
-            b = bell_eval(n, k, args)
+            b = bell_eval(n, k, args, bell_memo)
             if not b:
                 continue
             term = a * b
             inner = (inner - term) if k % 2 else (inner + term)
         if inner:
             total = total + comb(m, n) * inner
-    return total if isinstance(total, LaurentPoly) else as_coefficient(total)
+    return as_coefficient(total)
 
 
 @dataclass
 class ExpansionResult:
-    """Coefficients y_1..y_order plus per-coefficient diagnostics."""
+    """Coefficients y_1..y_order plus per-coefficient diagnostics.
+
+    diagnostics[i] holds the monomial count of y_(i+1) and the seconds
+    spent computing it.  Compose computes every coefficient at once, so it
+    books its whole time on the last entry and 0.0 on the others; for
+    every method the seconds sum to at most the time of the call.
+    """
 
     order: int
     method: str
@@ -366,17 +368,19 @@ def expand_compose(table, order=None):
     t0 = time.perf_counter()
     phi0 = column_series(table, 0, order)
     total = TaylorEGF.zero(order)
-    power = TaylorEGF.one(order)
+    power = TaylorEGF.one(order)  # f(x,0)^k / k!, divided one k at a time
     for k in range(1, order + 1):
-        power = power * phi0
+        power = power * phi0 * Fraction(1, k)
         if power.is_zero():
             break
-        gk = _inverse_coeff_series(table, k, order)
-        total = total + gk * power * Fraction((-1) ** k, factorial(k))
+        term = _inverse_coeff_series(table, k, order) * power
+        total = (total - term) if k % 2 else (total + term)
     if total.coeffs[0]:
         raise InvariantError("composition produced a nonzero constant term")
     ys = list(total.coeffs[1:])
-    diags = [_diag(ym, t0) for ym in ys]
+    diags = [{"monomials": monomial_count(ym), "seconds": 0.0} for ym in ys]
+    if diags:
+        diags[-1]["seconds"] = time.perf_counter() - t0
     return ExpansionResult(order, "compose", ys, diags)
 
 
@@ -400,8 +404,7 @@ def expand_newton(table, order=None):
         t0 = time.perf_counter()
         u = TaylorEGF([_ZERO] + ys, order=m)
         residual = f.substitute_y(u, order=m)
-        ym = -(residual.coeffs[m] * inv01)
-        ym = ym if isinstance(ym, LaurentPoly) else as_coefficient(ym)
+        ym = as_coefficient(-(residual.coeffs[m] * inv01))
         ys.append(ym)
         diags.append(_diag(ym, t0))
     final = f.substitute_y(TaylorEGF([_ZERO] + ys, order=order), order=order)
@@ -429,7 +432,7 @@ def expand(table, order=None, method="direct"):
 def specialize(value, table):
     """Evaluate a symbolic coefficient at a rational table's entries."""
     if not isinstance(value, LaurentPoly):
-        return Fraction(value)
+        return as_coefficient(value)
     assignment = {}
     for code in value.variables():
         d = decode(code)

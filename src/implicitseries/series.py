@@ -2,21 +2,24 @@
 
 A series of order N stores c_0..c_N and denotes sum c_n x^n / n!; the
 bivariate kind stores a full (N+1) x (N+1) box of c_{m,n} for
-sum c_{m,n} x^m y^n / (m! n!).  Coefficients are Fractions or Laurent
-polynomials; all arithmetic is exact.  Orders never mix silently: binary
-operations demand equal orders and raise MixedOrderError otherwise.
+sum c_{m,n} x^m y^n / (m! n!).  Coefficients are exact scalars (an int
+when integral, otherwise a Fraction) or Laurent polynomials, brought into
+that canonical form as a series is built; all arithmetic is exact.  A
+division by k! is taken one factor k at a time, so that integral
+intermediates such as u^k / k! stay integral.  Orders never mix silently:
+binary operations demand equal orders and raise MixedOrderError otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .algebra import LaurentPoly, NotInvertibleError, as_coefficient, invert_scalar
 from .combinatorics import bell_eval
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 class MixedOrderError(ValueError):
@@ -27,19 +30,13 @@ class ConstantTermError(ValueError):
     """A constant term violates an operation's domain requirement."""
 
 
-def _coerce(value):
-    if isinstance(value, LaurentPoly):
-        return value
-    return as_coefficient(value)
-
-
 class TaylorEGF:
     """One-variable truncated series, exact through x^order."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, order=None):
-        coeffs = [_coerce(c) for c in coeffs]
+        coeffs = [as_coefficient(c) for c in coeffs]
         if order is not None:
             if len(coeffs) > order + 1:
                 raise ValueError("more coefficients than the order allows")
@@ -114,7 +111,7 @@ class TaylorEGF:
                 for i in range(n + 1):
                     if a[i] and b[n - i]:
                         s = s + comb(n, i) * a[i] * b[n - i]
-                out.append(_coerce(s))
+                out.append(s)
             return TaylorEGF(out)
         if isinstance(other, (int, Fraction, LaurentPoly)):
             return TaylorEGF([c * other for c in self.coeffs])
@@ -160,7 +157,7 @@ class TaylorEGF:
             for i in range(1, n + 1):
                 if a[i] and out[n - i]:
                     s = s + comb(n, i) * a[i] * out[n - i]
-            out.append(_coerce(-(inv0 * s)))
+            out.append(as_coefficient(-(inv0 * s)))
         return TaylorEGF(out)
 
     def coeff_of_power(self, exponent, n):
@@ -174,16 +171,17 @@ class TaylorEGF:
         self._check(inner)
         if inner.coeffs[0]:
             raise ConstantTermError("composition needs a zero inner constant term")
-        args = tuple(inner.coeffs[1:])
+        args = inner.coeffs[1:]
+        bell_memo = {}
         out = [self.coeffs[0]]
         for n in range(1, self.order + 1):
             s = 0
             for k in range(1, n + 1):
                 if self.coeffs[k]:
-                    b = bell_eval(n, k, args)
+                    b = bell_eval(n, k, args, bell_memo)
                     if b:
                         s = s + self.coeffs[k] * b
-            out.append(_coerce(s))
+            out.append(s)
         return TaylorEGF(out)
 
     def reversion(self):
@@ -197,16 +195,17 @@ class TaylorEGF:
         except NotInvertibleError:
             raise NotInvertibleError(
                 f"linear term is not invertible: {g[1]}") from None
-        args = tuple(g[1:])
-        h = [_ZERO, _coerce(inv1)]
+        args = g[1:]
+        bell_memo = {}
+        h = [_ZERO, inv1]
         for n in range(2, self.order + 1):
             s = 0
             for k in range(1, n):
                 if h[k]:
-                    b = bell_eval(n, k, args)
+                    b = bell_eval(n, k, args, bell_memo)
                     if b:
                         s = s + h[k] * b
-            h.append(_coerce(-(s * inv1 ** n)))
+            h.append(as_coefficient(-(s * inv1 ** n)))
         return TaylorEGF(h)
 
     def exp(self):
@@ -214,12 +213,12 @@ class TaylorEGF:
         if self.coeffs[0]:
             raise ConstantTermError("exp needs a zero constant term")
         result = TaylorEGF.one(self.order)
-        power = TaylorEGF.one(self.order)
+        power = TaylorEGF.one(self.order)  # self^k / k!
         for k in range(1, self.order + 1):
-            power = power * self
+            power = power * self * Fraction(1, k)
             if power.is_zero():
                 break
-            result = result + power * Fraction(1, factorial(k))
+            result = result + power
         return result
 
     def log(self):
@@ -243,7 +242,7 @@ class BivariateEGF:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        rows = [tuple(_coerce(c) for c in row) for row in coeffs]
+        rows = [tuple(as_coefficient(c) for c in row) for row in coeffs]
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("coefficient box must be square and nonempty")
@@ -256,7 +255,7 @@ class BivariateEGF:
     @classmethod
     def const(cls, value, order):
         box = [[_ZERO] * (order + 1) for _ in range(order + 1)]
-        box[0][0] = _coerce(value)
+        box[0][0] = as_coefficient(value)
         return cls(box)
 
     @classmethod
@@ -390,12 +389,12 @@ class BivariateEGF:
         if self.coeffs[0][0]:
             raise ConstantTermError("exp needs a zero constant term")
         result = BivariateEGF.const(1, self.order)
-        power = BivariateEGF.const(1, self.order)
+        power = BivariateEGF.const(1, self.order)  # self^k / k!
         for k in range(1, 2 * self.order + 1):
-            power = power * self
+            power = power * self * Fraction(1, k)
             if power.is_zero():
                 break
-            result = result + power * Fraction(1, factorial(k))
+            result = result + power
         return result
 
     def log(self):
@@ -426,13 +425,13 @@ class BivariateEGF:
             raise ConstantTermError("substitution needs a zero constant term")
         u = u.truncate(order)
         total = TaylorEGF.zero(order)
-        upow = TaylorEGF.one(order)
+        upow = TaylorEGF.one(order)  # u^n / n!
         for n in range(min(self.order, order) + 1):
             if n:
-                upow = upow * u
+                upow = upow * u * Fraction(1, n)
                 if upow.is_zero():
                     break
             row = [self.coeffs[m][n] for m in range(order + 1)]
             if any(row):
-                total = total + TaylorEGF(row) * upow * Fraction(1, factorial(n))
+                total = total + TaylorEGF(row) * upow
         return total

@@ -10,8 +10,12 @@ from implicitseries.algebra import (
     ZERO,
     LaurentPoly,
     NotInvertibleError,
+    as_coefficient,
     fcode,
     fsym,
+    invert_scalar,
+    mon_mul,
+    mon_pow,
     poly_eval,
     poly_mul,
     poly_normalize,
@@ -245,3 +249,48 @@ def test_mul_preserves_normal_form_invariants():
             exps = mon[1::2]
             assert list(codes) == sorted(codes)
             assert all(e != 0 for e in exps)
+
+
+def test_mon_mul_merges_and_cancels():
+    a = (fcode(0, 1), -1, xcode(1), 2)
+    b = (fcode(0, 1), 1, xcode(2), 1)
+    assert mon_mul(a, b) == (xcode(1), 2, xcode(2), 1)
+    assert mon_mul((), a) == a
+    assert mon_mul(a, ()) == a
+
+
+def test_mon_pow():
+    m = (xcode(1), 2, xcode(2), 1)
+    assert mon_pow(m, 3) == (xcode(1), 6, xcode(2), 3)
+    assert mon_pow(m, -1) == (xcode(1), -2, xcode(2), -1)
+    assert mon_pow(m, 0) == ()
+
+
+def _is_canonical(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_scalars_enter_in_canonical_form():
+    assert type(as_coefficient(Fraction(6, 3))) is int
+    assert type(as_coefficient(True)) is int
+    assert as_coefficient(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(invert_scalar(Fraction(1, 3))) is int
+    assert type(invert_scalar(-1)) is int
+    assert invert_scalar(3) == Fraction(1, 3)
+    for p in (LaurentPoly.const(Fraction(4, 2)), fsym(1, 0),
+              poly_normalize([((F10, 1), Fraction(1, 2)), ((F10, 1), Fraction(1, 2))])):
+        ((_, c),) = p.terms().items()
+        assert type(c) is int
+
+
+def test_scaling_and_inverse_keep_coefficients_canonical():
+    p = Fraction(1, 2) * fsym(1, 0) + Fraction(3, 4) * fsym(2, 1)
+    for q in (p * 4, 4 * p, p / Fraction(1, 4), -p, (2 * fsym(0, 1)).unit_inverse() * 2,
+              fsym(0, 1) ** -2):
+        assert all(_is_canonical(c) for c in q.terms().values()), q
+    assert p * 4 == 2 * fsym(1, 0) + 3 * fsym(2, 1)
+    # never a float, even where 1 / int would give one
+    ((_, c),) = (3 * fsym(0, 1)).unit_inverse().terms().items()
+    assert c == Fraction(1, 3) and type(c) is Fraction
+    value = poly_eval(fsym(1, 0) * fsym(0, 1) ** -1, {F10: Fraction(3, 2), F01: Fraction(1, 2)})
+    assert value == 3 and type(value) is int

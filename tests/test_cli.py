@@ -1,6 +1,7 @@
 """Exit codes, file formats, and output determinism of the command line."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,13 @@ def test_status_2_from_input_file(tmp_path, capsys):
 def test_status_1_parse_error(capsys):
     code, _, err = run(capsys, "--expr", "x + ", "-N", "2")
     assert code == 1 and "byte 4" in err
+
+
+def test_status_1_exponent_tower_fails_fast(capsys):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "--expr", "x^9^9^9 + y", "-N", "2")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and "byte 4" in err and "limit" in err
 
 
 def test_status_1_domain_error(capsys):

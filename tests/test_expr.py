@@ -12,6 +12,7 @@ import pytest
 
 from implicitseries.algebra import NotInvertibleError
 from implicitseries.expr import (
+    MAX_EXPONENT,
     BinOp,
     Call,
     Neg,
@@ -70,6 +71,16 @@ def test_exponent_forms():
     assert parse("x^2^3") == Pow(Var("x"), 8)  # towers fold right
     assert parse("x^-2^3") == Pow(Var("x"), -8)
     assert parse("exp(y)^2") == Pow(Call("exp", Var("y")), 2)
+
+
+def test_exponent_limit_is_checked_before_the_power():
+    assert parse("x^10^6") == Pow(Var("x"), MAX_EXPONENT)
+    assert parse("x^1^0000000000000000000000000002") == Pow(Var("x"), 1)
+    for src, pos in (("x^9^9^9", 4), ("(x+y)^2^21", 6), ("x^1000001", 2),
+                     ("x^-1000001", 3), ("x^1^" + "9" * 5000, 4)):
+        with pytest.raises(ParseError) as e:
+            parse(src)
+        assert f"byte {pos}" in str(e.value) and "limit" in str(e.value)
 
 
 def test_parse_errors_carry_position_and_expectations():

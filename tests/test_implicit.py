@@ -5,10 +5,15 @@ all three methods on random tables is a genuine cross-check, not an echo.
 """
 
 import random
+import sys
+import time
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from implicitseries.algebra import LaurentPoly, fsym
 from implicitseries.implicit import (
@@ -303,3 +308,89 @@ def test_specialize_rejects_foreign_symbols():
     t = builtin_table("geometric", 2)
     with pytest.raises(ValueError):
         specialize(xsym(1), t)
+
+
+# -- canonical scalars, bounded state, diagnostics ---------------------------
+
+
+def _has_integral_fraction(value):
+    coeffs = value.terms().values() if isinstance(value, LaurentPoly) else [value]
+    return any(type(c) is not int and c.denominator == 1 for c in coeffs)
+
+
+@pytest.mark.parametrize("method", ["direct", "compose", "newton"])
+def test_integral_coefficients_are_stored_as_ints(method):
+    for table in (CoeffTable.symbolic(7), builtin_table("lambert", 12)):
+        ys = expand(table, table.order, method).y
+        assert not any(_has_integral_fraction(v) for v in ys)
+
+
+@lru_cache(maxsize=None)
+def _generic_y(method):
+    return tuple(expand(CoeffTable.symbolic(5), 5, method).y)
+
+
+_small_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _small_rational_tables(draw):
+    order = draw(st.integers(1, 5))
+    entries = {
+        (m, n): draw(_small_rationals)
+        for m in range(order + 1)
+        for n in range(order + 1)
+        if (m, n) != (0, 0)
+    }
+    entries[(0, 1)] = draw(_small_rationals.filter(bool))
+    return CoeffTable(order, entries, "rational")
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_rational_tables())
+def test_generic_coefficients_specialize_to_rational_ones(t):
+    for method in ("direct", "compose", "newton"):
+        want = expand(t, t.order, method).y
+        got = [specialize(v, t) for v in _generic_y(method)[: t.order]]
+        assert got == want
+        assert not any(_has_integral_fraction(v) for v in got + want)
+
+
+def _module_state_sizes():
+    sizes = {}
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "implicitseries" or name.startswith("implicitseries.")):
+            continue
+        for attr, value in vars(module).items():
+            if attr.startswith("__"):
+                continue
+            info = getattr(value, "cache_info", None)
+            if callable(info):
+                sizes[name, attr] = info().currsize
+            elif isinstance(value, (dict, list, set)):
+                sizes[name, attr] = len(value)
+    return sizes
+
+
+def test_distinct_tables_leave_no_growing_module_cache():
+    rng = random.Random(606)
+    methods = ("direct", "compose", "newton")
+    # a dense table reaches every order-keyed cache entry a sparser one can
+    for method in methods:
+        expand(_random_table(rng, 6, zero_chance=0.0), 6, method)
+    before = _module_state_sizes()
+    for _ in range(20):
+        t = _random_table(rng, 6)
+        for method in methods:
+            expand(t, 6, method)
+    assert _module_state_sizes() == before
+
+
+@pytest.mark.parametrize("method", ["direct", "compose", "newton"])
+def test_diagnostic_seconds_sum_to_at_most_the_call(method):
+    t = CoeffTable.symbolic(6)
+    t0 = time.perf_counter()
+    r = expand(t, 6, method)
+    wall = time.perf_counter() - t0
+    assert len(r.diagnostics) == 6
+    assert sum(d["seconds"] for d in r.diagnostics) <= wall
