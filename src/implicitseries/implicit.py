@@ -26,10 +26,8 @@ from math import comb, factorial
 
 from .algebra import (
     LaurentPoly,
-    NotInvertibleError,
     as_coefficient,
     decode,
-    fcode,
     fsym,
     invert_scalar,
 )
@@ -385,12 +383,26 @@ def expand_compose(table, order=None):
 
 
 def expand_newton(table, order=None):
-    """Expansion by running the update
+    """Expansion by order-by-order elimination of the residual f(x, u(x)),
+    u = y_1 x + y_2 x^2/2! + ...; independent of the combinatorial
+    machinery.
 
-        y_m = -(coefficient m of f(x, y_partial(x))) / f(0,1)
+    Coefficient m of the residual is
 
-    order by order; independent of the combinatorial machinery.  Ends by
-    checking that the final residual vanishes through the order.
+        sum_{n, k} C(m, k) f(k, n) P(n, m - k),   P(n, j) = coefficient j of u^n/n!,
+
+    and u_m enters it only through the term f(0,1) u_m, so
+
+        y_m = -(that sum without f(0,1) u_m) / f(0,1).
+
+    The P(n, j) are kept online, one column j at a time: for n >= 2,
+
+        P(n, m) = (1/n) sum_{i=1}^{m-n+1} C(m, i) u_i P(n-1, m-i)
+
+    reads only u_1..u_{m-1}, so column m is complete before y_m is solved
+    for.  Each product is made once, about N^3/3 of them in all.  Ends by
+    checking that the final residual, substituted afresh, vanishes through
+    the order.
     """
     if order is None:
         order = table.order
@@ -399,12 +411,28 @@ def expand_newton(table, order=None):
         raise TableError("requested order exceeds the table")
     f = as_bivariate(table, order)
     inv01 = invert_scalar(table.entry(0, 1))
+    # pw[n][j]: coefficient j of u^n/n!, zero below j = n; pw[1] is u
+    pw = [[1] + [_ZERO] * order] + [[_ZERO] * n for n in range(1, order + 1)]
+    u = pw[1]
     ys, diags = [], []
     for m in range(1, order + 1):
         t0 = time.perf_counter()
-        u = TaylorEGF([_ZERO] + ys, order=m)
-        residual = f.substitute_y(u, order=m)
-        ym = as_coefficient(-(residual.coeffs[m] * inv01))
+        for n in range(2, m + 1):
+            prev = pw[n - 1]
+            s = 0
+            for i in range(1, m - n + 2):
+                if u[i] and prev[m - i]:
+                    s = s + comb(m, i) * u[i] * prev[m - i]
+            pw[n].append(as_coefficient(s * Fraction(1, n)))
+        u.append(_ZERO)  # u_m is unknown yet, so f(0,1) u_m drops out
+        s = 0
+        for k in range(m + 1):
+            row = f.coeffs[k]
+            for n in range(m - k + 1):
+                if row[n] and pw[n][m - k]:
+                    s = s + comb(m, k) * row[n] * pw[n][m - k]
+        ym = as_coefficient(-(s * inv01))
+        u[m] = ym
         ys.append(ym)
         diags.append(_diag(ym, t0))
     final = f.substitute_y(TaylorEGF([_ZERO] + ys, order=order), order=order)

@@ -114,12 +114,12 @@ class TaylorEGF:
                 out.append(s)
             return TaylorEGF(out)
         if isinstance(other, (int, Fraction, LaurentPoly)):
-            return TaylorEGF([c * other for c in self.coeffs])
+            return TaylorEGF([c * other if c else c for c in self.coeffs])
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
-            return TaylorEGF([other * c for c in self.coeffs])
+            return TaylorEGF([other * c if c else c for c in self.coeffs])
         return NotImplemented
 
     def is_zero(self):
@@ -338,12 +338,12 @@ class BivariateEGF:
                                 out[m1 + m2][n1 + n2] += cm * comb(n1 + n2, n1) * c * d
             return BivariateEGF(out)
         if isinstance(other, (int, Fraction, LaurentPoly)):
-            return BivariateEGF([[c * other for c in row] for row in self.coeffs])
+            return BivariateEGF([[c * other if c else c for c in row] for row in self.coeffs])
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
-            return BivariateEGF([[other * c for c in row] for row in self.coeffs])
+            return BivariateEGF([[other * c if c else c for c in row] for row in self.coeffs])
         return NotImplemented
 
     def pow_int(self, exponent):

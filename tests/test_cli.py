@@ -2,12 +2,10 @@
 
 import json
 import time
-from fractions import Fraction
 
 import pytest
 
 import implicitseries.cli as cli
-from implicitseries.implicit import ExpansionResult
 
 
 def run(capsys, *argv):

@@ -9,13 +9,13 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from implicitseries.algebra import LaurentPoly, fsym
+from implicitseries.algebra import LaurentPoly, as_coefficient, fsym, invert_scalar
 from implicitseries.implicit import (
     CoeffTable,
     InvariantError,
@@ -36,6 +36,7 @@ from implicitseries.implicit import (
     y_coeff_direct,
     _inverse_coeff_series,
 )
+from implicitseries.series import BivariateEGF, TaylorEGF
 
 
 def _random_table(rng, order, zero_chance=0.35):
@@ -354,6 +355,107 @@ def test_generic_coefficients_specialize_to_rational_ones(t):
         got = [specialize(v, t) for v in _generic_y(method)[: t.order]]
         assert got == want
         assert not any(_has_integral_fraction(v) for v in got + want)
+
+
+# -- the online Newton recurrence against per-order substitution --------------
+
+
+def _newton_by_substitution(table, order):
+    """The reference for expand_newton: substitute the partial solution
+    afresh at every order and read off coefficient m of the residual."""
+    f = as_bivariate(table, order)
+    inv01 = invert_scalar(table.entry(0, 1))
+    ys = []
+    for m in range(1, order + 1):
+        residual = f.substitute_y(TaylorEGF([0] + ys, order=m), order=m)
+        ys.append(as_coefficient(-(residual.coeffs[m] * inv01)))
+    return ys
+
+
+def _assert_same_canonical(got, want):
+    """Equal values of equal types, and every scalar canonical.  (Inside a
+    LaurentPoly the kernel may keep an integral Fraction; the algebra
+    module's docstring says why.)"""
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+    for v in got:
+        if not isinstance(v, LaurentPoly):
+            assert type(v) is (int if v.denominator == 1 else Fraction)
+
+
+_sparse_rationals = st.one_of(st.just(0), _small_rationals)
+
+
+@st.composite
+def _rational_tables_and_orders(draw):
+    size = draw(st.integers(1, 8))
+    entries = {
+        (m, n): draw(_sparse_rationals)
+        for m in range(size + 1)
+        for n in range(size + 1)
+        if (m, n) != (0, 0)
+    }
+    entries[(0, 1)] = draw(_small_rationals.filter(bool))
+    return CoeffTable(size, entries, "rational"), draw(st.integers(1, size))
+
+
+@st.composite
+def _symbolic_tables(draw):
+    """Tables mixing zeros, rationals and rational multiples of symbols."""
+    size = draw(st.integers(1, 5))
+    entries = {}
+    for m in range(size + 1):
+        for n in range(size + 1):
+            if (m, n) == (0, 0):
+                continue
+            c = draw(_sparse_rationals)
+            entries[(m, n)] = c * fsym(m, n) if draw(st.booleans()) else c
+    f01 = draw(_small_rationals.filter(bool))
+    entries[(0, 1)] = f01 * fsym(0, 1) if draw(st.booleans()) else f01
+    return CoeffTable(size, entries, "symbolic")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_tables_and_orders())
+def test_newton_recurrence_matches_substitution_on_rational_tables(case):
+    t, order = case
+    _assert_same_canonical(expand_newton(t, order).y, _newton_by_substitution(t, order))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_symbolic_tables())
+def test_newton_recurrence_matches_substitution_on_symbolic_tables(t):
+    _assert_same_canonical(expand_newton(t).y, _newton_by_substitution(t, t.order))
+
+
+def test_newton_substitutes_once_for_the_final_residual(monkeypatch):
+    orders = []
+    substitute_y = BivariateEGF.substitute_y
+
+    def counting(self, u, order=None):
+        orders.append(order)
+        return substitute_y(self, u, order)
+
+    monkeypatch.setattr(BivariateEGF, "substitute_y", counting)
+    for t in (builtin_table("lambert", 9), CoeffTable.symbolic(4)):
+        orders.clear()
+        expand_newton(t)
+        assert orders == [t.order]
+        orders.clear()
+        expand_newton(t, 3)
+        assert orders == [3]
+
+
+def test_newton_raises_on_a_nonzero_final_residual(monkeypatch):
+    substitute_y = BivariateEGF.substitute_y
+
+    def off_by_one_at_the_top(self, u, order=None):
+        r = substitute_y(self, u, order)
+        return r + TaylorEGF([0] * r.order + [1])
+
+    monkeypatch.setattr(BivariateEGF, "substitute_y", off_by_one_at_the_top)
+    with pytest.raises(InvariantError):
+        expand_newton(builtin_table("lambert", 6))
 
 
 def _module_state_sizes():

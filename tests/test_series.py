@@ -7,11 +7,11 @@ converts back.  Any disagreement is a real bug in the convolution logic.
 
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
-from implicitseries.algebra import NotInvertibleError, fsym, xsym
+from implicitseries.algebra import NotInvertibleError, as_coefficient, fsym
 from implicitseries.series import (
     BivariateEGF,
     ConstantTermError,
@@ -76,6 +76,23 @@ def test_add_sub_neg_scalar():
     assert a * 2 == a + a
     assert 2 * a == a + a
     assert a * Fraction(1, 2) + a * Fraction(1, 2) == a
+
+
+@pytest.mark.parametrize("factor", [
+    0, 3, -1, Fraction(-2, 3), Fraction(3, 2), fsym(1, 1), -2 * fsym(0, 1) ** -1,
+], ids=str)
+def test_scalar_products_are_entrywise_and_pass_zeros_through(factor):
+    coeffs = [0, Fraction(2, 3), 0, 4, Fraction(-1, 2)]
+    box = [coeffs[i:] + coeffs[:i] for i in range(len(coeffs))]
+    for series, entries in ((TaylorEGF(coeffs), coeffs),
+                            (BivariateEGF(box), [c for row in box for c in row])):
+        for prod in (series * factor, factor * series):
+            assert type(prod) is type(series)
+            got = prod.coeffs if isinstance(prod, TaylorEGF) else [
+                c for row in prod.coeffs for c in row]
+            for c, g in zip(entries, got, strict=True):
+                want = as_coefficient(c * factor) if c else 0
+                assert g == want and type(g) is type(want)
 
 
 def test_mixed_orders_rejected():
