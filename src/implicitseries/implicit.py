@@ -309,17 +309,24 @@ def monomial_count(value):
     return 1 if value else 0
 
 
+def _expansion_order(table, order):
+    """The order to expand to: the table's when none is given.  The table
+    must be expandable and the order must lie in 1..table.order."""
+    if order is None:
+        order = table.order
+    ensure_valid(table)
+    if not 1 <= order <= table.order:
+        raise TableError(f"requested order {order} is outside 1..{table.order}")
+    return order
+
+
 def _diag(value, t0):
     return {"monomials": monomial_count(value), "seconds": time.perf_counter() - t0}
 
 
 def expand_direct(table, order=None):
     """Expansion via the closed double sum, one coefficient at a time."""
-    if order is None:
-        order = table.order
-    ensure_valid(table)
-    if order > table.order:
-        raise TableError("requested order exceeds the table")
+    order = _expansion_order(table, order)
     ys, diags = [], []
     for m in range(1, order + 1):
         t0 = time.perf_counter()
@@ -331,7 +338,12 @@ def expand_direct(table, order=None):
 
 def _inverse_coeff_series(table, k, order):
     """The k-th EGF coefficient of the inverse relation as a series in x:
-    the explicit inversion polynomial evaluated at the column series."""
+    the explicit inversion polynomial evaluated at the column series,
+    through x^order.
+
+    The order need not be the table's: compose asks for g_k only through
+    x^(N-k), because it multiplies g_k by f(x,0)^k, whose valuation is k,
+    so no coefficient of g_k above x^(N-k) reaches x^N."""
     key = ("invseries", k, order)
     hit = table._cache.get(key)
     if hit is not None:
@@ -355,14 +367,13 @@ def expand_compose(table, order=None):
         y(x) = sum_{k>=1} (-1)^k g_k(x) f(x,0)^k / k!
 
     where g_k is the k-th inverse-relation coefficient series.  All series
-    are truncated at the requested order; the sum stops there too because
-    f(x, 0) has no constant term.
+    are truncated at the requested order N; the sum stops there too because
+    f(x, 0) has no constant term.  For the same reason f(x,0)^k / k! has
+    valuation k, so only x^0..x^(N-k) of g_k can reach the result: g_k is
+    built through x^(N-k) alone and padded with zeros back to order N,
+    which the zero-skipping series product then passes over.
     """
-    if order is None:
-        order = table.order
-    ensure_valid(table)
-    if order > table.order:
-        raise TableError("requested order exceeds the table")
+    order = _expansion_order(table, order)
     t0 = time.perf_counter()
     phi0 = column_series(table, 0, order)
     total = TaylorEGF.zero(order)
@@ -371,7 +382,8 @@ def expand_compose(table, order=None):
         power = power * phi0 * Fraction(1, k)
         if power.is_zero():
             break
-        term = _inverse_coeff_series(table, k, order) * power
+        g = _inverse_coeff_series(table, k, order - k)
+        term = TaylorEGF(g.coeffs, order=order) * power
         total = (total - term) if k % 2 else (total + term)
     if total.coeffs[0]:
         raise InvariantError("composition produced a nonzero constant term")
@@ -404,11 +416,7 @@ def expand_newton(table, order=None):
     checking that the final residual, substituted afresh, vanishes through
     the order.
     """
-    if order is None:
-        order = table.order
-    ensure_valid(table)
-    if order > table.order:
-        raise TableError("requested order exceeds the table")
+    order = _expansion_order(table, order)
     f = as_bivariate(table, order)
     inv01 = invert_scalar(table.entry(0, 1))
     # pw[n][j]: coefficient j of u^n/n!, zero below j = n; pw[1] is u

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from implicitseries import implicit
 from implicitseries.algebra import LaurentPoly, as_coefficient, fsym, invert_scalar
+from implicitseries.expr import table_from_expr
 from implicitseries.implicit import (
     CoeffTable,
     InvariantError,
@@ -202,8 +204,28 @@ def test_methods_agree_on_random_tables():
 
 
 def test_methods_agree_symbolically():
-    t = CoeffTable.symbolic(4)
-    assert expand_direct(t).y == expand_compose(t).y == expand_newton(t).y
+    for order in (4, 6):
+        t = CoeffTable.symbolic(order)
+        assert expand_direct(t).y == expand_compose(t).y == expand_newton(t).y
+
+
+def test_compose_builds_each_g_k_only_through_n_minus_k(monkeypatch):
+    # f(x,0)^k / k! has valuation k, so only x^0..x^(N-k) of g_k can reach
+    # the result; compose must not build g_k any further
+    requests = []
+    inverse_coeff_series = implicit._inverse_coeff_series
+
+    def recording(table, k, order):
+        requests.append((k, order))
+        return inverse_coeff_series(table, k, order)
+
+    monkeypatch.setattr(implicit, "_inverse_coeff_series", recording)
+    dense = _random_table(random.Random(808), 6, zero_chance=0.0)
+    for table, order in ((CoeffTable.symbolic(6), 6), (dense, 4)):
+        requests.clear()
+        got = expand_compose(table, order).y
+        assert requests == [(k, order - k) for k in range(1, order + 1)]
+        assert got == expand_direct(table, order).y
 
 
 def test_scaling_in_x():
@@ -249,6 +271,14 @@ def test_truncation_stability():
         assert expand_direct(t, k).y == full[:k]
     assert expand_compose(t, 4).y == full[:4]
     assert expand_newton(t, 4).y == full[:4]
+
+
+@pytest.mark.parametrize("method", ["direct", "compose", "newton"])
+@pytest.mark.parametrize("order", [0, -1, 4])
+def test_expand_rejects_orders_outside_the_table(method, order):
+    t = builtin_table("geometric", 3)
+    with pytest.raises(TableError, match=r"outside 1\.\.3"):
+        expand(t, order, method)
 
 
 def test_expand_order_and_validity_errors():
@@ -387,8 +417,8 @@ _sparse_rationals = st.one_of(st.just(0), _small_rationals)
 
 
 @st.composite
-def _rational_tables_and_orders(draw):
-    size = draw(st.integers(1, 8))
+def _rational_tables_and_orders(draw, max_size=8):
+    size = draw(st.integers(1, max_size))
     entries = {
         (m, n): draw(_sparse_rationals)
         for m in range(size + 1)
@@ -426,6 +456,52 @@ def test_newton_recurrence_matches_substitution_on_rational_tables(case):
 @given(_symbolic_tables())
 def test_newton_recurrence_matches_substitution_on_symbolic_tables(t):
     _assert_same_canonical(expand_newton(t).y, _newton_by_substitution(t, t.order))
+
+
+# -- the three methods agree on random input ----------------------------------
+
+
+def _assert_methods_agree(table, order):
+    want = expand(table, order, "direct").y
+    for method in ("compose", "newton"):
+        _assert_same_canonical(expand(table, order, method).y, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rational_tables_and_orders(max_size=6))
+def test_methods_agree_on_random_rational_tables(case):
+    _assert_methods_agree(*case)
+
+
+_leaves = st.one_of(st.just("x"), st.just("y"), _small_rationals.map(lambda c: f"({c})"))
+
+
+@st.composite
+def _trees(draw, leaves):
+    """Expression text: a tree of + - * over x, y and rational literals,
+    any node of which may be raised to a power 0..3."""
+    if leaves == 1:
+        tree = draw(_leaves)
+    else:
+        left = draw(st.integers(1, leaves - 1))
+        op = draw(st.sampled_from("+-*"))
+        tree = f"({draw(_trees(left))} {op} {draw(_trees(leaves - left))})"
+    if draw(st.integers(0, 3)) == 0:
+        tree = f"({tree}^{draw(st.integers(0, 3))})"
+    return tree
+
+
+@st.composite
+def _expression_tables(draw):
+    """f = y + x*T(x,y) for a random tree T, so f(0,0) = 0 and f(0,1) = 1."""
+    tree = draw(_trees(draw(st.integers(2, 6))))
+    return table_from_expr(f"y + x*{tree}", draw(st.integers(1, 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expression_tables())
+def test_methods_agree_on_random_expression_tables(t):
+    _assert_methods_agree(t, t.order)
 
 
 def test_newton_substitutes_once_for_the_final_residual(monkeypatch):
