@@ -15,6 +15,7 @@ import math
 import re
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .algebra import ONE, ZERO, LaurentPoly, NotInvertibleError, xsym
@@ -157,12 +158,55 @@ def load_table_file(path, order):
     return CoeffTable(order, box, "rational")
 
 
-def _emit(text, out_path):
+@contextmanager
+def _output(out_path):
+    """The --out file opened for writing, or stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(obj, newline, put):
+    """Hand put the text of json.dumps(obj, indent=2), piece by piece, for
+    dicts with str keys, lists, strs and ints.
+
+    The stdlib encoder drops to pure Python whenever an indent is set, and
+    a symbolic payload runs to megabytes; here the indentation of each
+    level is prepared once and no copy of the whole text is held.  newline
+    is a line break plus the indentation of obj's own level."""
+    if isinstance(obj, str):
+        put(_encode_str(obj))
+    elif type(obj) is int:
+        put(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            put(sep + _encode_str(key) + ": ")
+            _write_json(value, inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            put(sep)
+            _write_json(value, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    else:
+        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
 def _poly_obj(value):
@@ -229,7 +273,8 @@ def run_census(out_path):
             "figure counts terms of a differently normalized expansion --",
             "see the monomial census section of the README",
         ])
-    _emit("\n".join(lines) + "\n", out_path)
+    with _output(out_path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _expand_per_config(args):
@@ -257,7 +302,9 @@ def _expand_per_config(args):
     else:
         result = expand(table, order, args.method)
     body = _payload(result, args.mode, args.method, args.count_monomials)
-    _emit(json.dumps(body, indent=2) + "\n", args.out)
+    with _output(args.out) as fh:
+        _write_json(body, "\n", fh.write)
+        fh.write("\n")
 
 
 def _run(args):

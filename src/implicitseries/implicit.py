@@ -177,23 +177,32 @@ def as_bivariate(table, order=None):
     )
 
 
-def _column_power(table, n, exponent):
-    """table column n raised to an integer power, at full table order;
-    memoized on the table."""
+def _column_power(table, n, exponent, order):
+    """Table column n raised to an integer power, exact at least through
+    x^order; memoized on the table.
+
+    The cache keeps one series per (column, exponent), the longest built
+    so far, and builds it again only when a caller asks for more.  Callers
+    ask only for what they can read: the direct formula reads coefficient
+    l of a power in a(k, l), and a(k, l) reaches y_m only at l = m - n with
+    k <= n <= m <= N, so l <= N - k (see inverse_taylor_coeff).  For
+    example column1^-(2N-1) occurs only at k = N, where its constant term
+    is all that is read.  The result may run past x^order; callers that
+    multiply it truncate it first."""
     key = ("colpow", n, exponent)
     hit = table._cache.get(key)
-    if hit is not None:
+    if hit is not None and hit.order >= order:
         return hit
     if exponent == 0:
-        val = TaylorEGF.one(table.order)
+        val = TaylorEGF.one(order)
     elif exponent == 1:
-        val = column_series(table, n)
-    elif exponent > 1:
-        val = _column_power(table, n, exponent - 1) * _column_power(table, n, 1)
+        val = column_series(table, n, order)
     elif exponent == -1:
-        val = column_series(table, n).reciprocal()
+        val = column_series(table, n, order).reciprocal()
     else:
-        val = _column_power(table, n, exponent + 1) * _column_power(table, n, -1)
+        step = 1 if exponent > 1 else -1
+        val = (_column_power(table, n, exponent - step, order).truncate(order)
+               * _column_power(table, n, step, order).truncate(order))
     table._cache[key] = val
     return val
 
@@ -210,6 +219,13 @@ def inverse_taylor_coeff(table, k, l):
 
     and each factor contributes an exact coefficient of that integer power
     of a column series.  Slots with zero exponent are skipped.
+
+    The column powers are built through x^max(l, N - k) only, N the table
+    order.  The direct formula pairs a(k, l) with B(n, k) at l = m - n,
+    and k <= n <= m <= N, so it never asks for l > N - k; building each
+    power through x^(N - k) from the start means a later call of the
+    formula never has to extend it.  The max keeps calls with a larger l
+    exact.
     """
     if k < 1:
         raise TableError("k must be at least 1")
@@ -220,6 +236,7 @@ def inverse_taylor_coeff(table, k, l):
     if hit is not None:
         return hit
     ensure_valid(table)
+    order = max(l, table.order - k)
     total = 0
     lfact = factorial(l)
     for r, weight in inverse_partition_terms(k):
@@ -227,10 +244,12 @@ def inverse_taylor_coeff(table, k, l):
         # r_1 - 2k + 1 < 0), plus every higher column with r_nu > 0
         slots = [(1, r[0] - 2 * k + 1)]
         slots.extend((nu, r[nu - 1]) for nu in range(2, k + 1) if r[nu - 1])
+        powers = [_column_power(table, nu, exponent, order).coeffs
+                  for nu, exponent in slots]
         for j in compositions(l, len(slots)):
             term = weight * (lfact // _prod_factorials(j))
-            for (nu, exponent), jv in zip(slots, j):
-                c = _column_power(table, nu, exponent).coeffs[jv]
+            for coeffs, jv in zip(powers, j):
+                c = coeffs[jv]
                 if not c:
                     term = 0
                     break
@@ -354,7 +373,7 @@ def _inverse_coeff_series(table, k, order):
         prod = None
         for i in range(0, len(mon), 2):
             nu = decode(mon[i])[1]
-            pw = _column_power(table, nu, mon[i + 1]).truncate(order)
+            pw = _column_power(table, nu, mon[i + 1], order).truncate(order)
             prod = pw if prod is None else prod * pw
         acc = acc + prod * c
     table._cache[key] = acc

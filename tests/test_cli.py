@@ -1,11 +1,13 @@
 """Exit codes, file formats, and output determinism of the command line."""
 
+import hashlib
 import json
 import time
 
 import pytest
 
 import implicitseries.cli as cli
+from implicitseries.implicit import CoeffTable, builtin_table, expand
 
 
 def run(capsys, *argv):
@@ -83,6 +85,51 @@ def test_determinism_byte_identical(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# sha256 of the output of each run, pinned from the output of an earlier
+# release, so that any change of format shows
+GOLDEN_OUTPUTS = [
+    (("--expr", "y*exp(y)-x", "-N", "4", "--method", "all"),
+     "a7de603e973a7aff4a578093c085b069714a50dc1999cd4339d8a2a2c0ae3909"),
+    (("--mode", "symbolic", "-N", "6", "--method", "all", "--count-monomials"),
+     "1ff31e2e81888160f2bd58689d8d33e14b20a62ef35fa8449a1ee840288686d1"),
+    (("--builtin", "lambert", "-N", "12", "--method", "all"),
+     "e1f481df41a6a1167bd04cccf902e9e7be592f3ce4d4640bed322dbf4a7af661"),
+    (("--expr", "log(1+x+y)*exp(x*y)+y", "-N", "8", "--method", "newton"),
+     "4c32782f27d81b2ec4b6e4f5e6e5fef4ee9c0e95490a632d2d6d28bfb088a0bb"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_OUTPUTS)
+def test_output_matches_golden_digest(capsys, args, digest):
+    code, out, err = run(capsys, *args)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _writer_payloads():
+    for order in range(1, 7):
+        table = CoeffTable.symbolic(order)
+        result = expand(table, order, "direct")
+        for count in (False, True):
+            yield cli._payload(result, "symbolic", "all", count)
+    rational = expand(builtin_table("lambert", 6), 6, "newton")
+    yield cli._payload(rational, "rational", "newton", True)
+    yield {}
+    yield []
+    yield {"c": "1", "factors": []}
+    # f = y has the zero solution: every coefficient is zero
+    zero = expand(CoeffTable.rational(2, {(0, 1): 1}), 2, "direct")
+    yield cli._payload(zero, "rational", "direct", True)
+    yield cli._payload(zero, "symbolic", "all", True)
+
+
+@pytest.mark.parametrize("obj", list(_writer_payloads()))
+def test_json_writer_matches_json_dumps(obj):
+    parts = []
+    cli._write_json(obj, "\n", parts.append)
+    assert "".join(parts) == json.dumps(obj, indent=2)
 
 
 def test_check_flag(capsys):

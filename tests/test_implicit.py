@@ -228,6 +228,60 @@ def test_compose_builds_each_g_k_only_through_n_minus_k(monkeypatch):
         assert got == expand_direct(table, order).y
 
 
+def test_direct_builds_the_top_column_power_only_to_its_constant_term():
+    # column1^-(2N-1) occurs only in a(N, l), which y_m reads at l = 0
+    order = 6
+    t = CoeffTable.symbolic(order)
+    expand_direct(t)
+    assert t._cache[("colpow", 1, -(2 * order - 1))].order == 0
+
+
+def test_direct_then_compose_build_each_column_power_once(monkeypatch):
+    builds = {}
+    column_power = implicit._column_power
+
+    def counting(table, n, exponent, order):
+        key = ("colpow", n, exponent)
+        before = table._cache.get(key)
+        val = column_power(table, n, exponent, order)
+        if table._cache.get(key) is not before:
+            builds[(n, exponent)] = builds.get((n, exponent), 0) + 1
+        return val
+
+    monkeypatch.setattr(implicit, "_column_power", counting)
+    dense = _random_table(random.Random(909), 6, zero_chance=0.0)
+    for table in (CoeffTable.symbolic(6), dense):
+        builds.clear()
+        direct = expand_direct(table).y
+        assert expand_compose(table).y == direct
+        assert builds and set(builds.values()) == {1}, builds
+
+
+def test_column_powers_grow_on_demand():
+    order = 6
+    t = CoeffTable.symbolic(order)
+
+    def built_order(k):
+        return t._cache[("colpow", 1, -(2 * k - 1))].order
+
+    calls = [(6, 0), (5, 0)]
+    for k, l in calls:
+        inverse_taylor_coeff(t, k, l)
+    assert (built_order(6), built_order(5)) == (0, 1)
+    # l above N - k extends the powers of a(k, .) to x^l
+    calls += [(6, 3), (5, 4)]
+    for k, l in calls[-2:]:
+        inverse_taylor_coeff(t, k, l)
+    assert (built_order(6), built_order(5)) == (3, 4)
+    calls += [(k, order) for k in (1, 2, 3)]
+    for k, l in calls[-3:]:
+        inverse_taylor_coeff(t, k, l)
+    assert built_order(1) == built_order(2) == built_order(3) == order
+    fresh = CoeffTable.symbolic(order)
+    for k, l in reversed(calls):
+        assert inverse_taylor_coeff(t, k, l) == inverse_taylor_coeff(fresh, k, l), (k, l)
+
+
 def test_scaling_in_x():
     # replacing f(m,n) by lam^m f(m,n) is f(x,y) -> f(lam*x, y), whose
     # solution is y(lam*x); EGF coefficients pick up lam^m
