@@ -3,8 +3,8 @@
 Given the Taylor coefficients f(m, n) of an equation f(x, y) = 0 with
 f(0, 0) = 0 and invertible f(0, 1), this package computes the coefficients
 of the unique formal solution y(x) with y(0) = 0 -- as exact rationals or
-as Laurent polynomials in the table symbols -- by three independent
-methods that cross-check each other.
+as Laurent polynomials in the table symbols -- by three methods that
+cross-check each other.
 """
 
 from .algebra import (
@@ -23,6 +23,7 @@ from .combinatorics import (
     bell_partial,
     comp_inverse_coeff_poly,
     compositions,
+    generic_monomial_count,
     partition_sequences,
     stirling1_poly,
     stirling_number,
@@ -64,6 +65,7 @@ __all__ = [
     "bell_partial",
     "comp_inverse_coeff_poly",
     "compositions",
+    "generic_monomial_count",
     "partition_sequences",
     "stirling1_poly",
     "stirling_number",

@@ -208,6 +208,43 @@ def stirling1_poly(n: int, k: int) -> LaurentPoly:
     return -acc * xsym(1) ** (-k)
 
 
+def generic_monomial_count(order: int) -> int:
+    """The number of monomials of the generic y_order, counted without
+    expanding anything: the multiplicity vectors r on the table slots
+    (m, n) other than (0, 0) and (0, 1) with
+
+        sum m * r(m, n) = order   and   sum (n - 1) * r(m, n) = -1.
+
+    Scaling x, y and f shows that every monomial of y_order is
+    F(0,1)^-k times a product with such exponents r, k = sum r; the tests
+    check against direct's expansion that every such product occurs.
+
+    A two-index knapsack over (sum m, sum (n - 1)).  The partial sums of a
+    counted r stay in 0..order and -order..order-1: only slots with n = 0
+    carry -1, and each has m >= 1, so there are at most order of them and
+    at most order - 1 units of positive weight.
+    """
+    if order < 1:
+        raise ValueError("order must be positive")
+    width = 2 * order
+    # counts[s][t + order]: vectors so far with sum m = s, sum (n - 1) = t
+    counts = [[0] * width for _ in range(order + 1)]
+    counts[0][order] = 1
+    for m in range(order + 1):
+        for n in range(order + 1):
+            if m == 0 and n < 2:
+                continue
+            dt = n - 1
+            # ascending (s, t): the source state of a step is updated
+            # first, so a slot may be used any number of times
+            for s in range(m, order + 1):
+                row, src = counts[s], counts[s - m]
+                for i in range(max(0, dt), min(width, width + dt)):
+                    if src[i - dt]:
+                        row[i] += src[i - dt]
+    return counts[order][order - 1]
+
+
 @lru_cache(maxsize=None)
 def stirling_number(n: int, k: int, kind: str) -> int:
     """Classical Stirling numbers by their recurrences; kind is 'first'

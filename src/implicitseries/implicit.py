@@ -2,8 +2,7 @@
 
 The equation enters as a table of Taylor coefficients f(m, n) with
 f(0, 0) = 0 and f(0, 1) invertible; then y(0) = 0 and the coefficients
-y_1, y_2, ... of the unique formal solution are computed three independent
-ways:
+y_1, y_2, ... of the unique formal solution are computed three ways:
 
 * direct    -- a closed double sum pairing Bell polynomials in the
                f(m, 0) column with the Taylor coefficients of the
@@ -11,6 +10,10 @@ ways:
 * compose   -- composition of the inverse relation with -f(x, 0),
 * newton    -- order-by-order elimination of the residual f(x, y(x)),
                which touches none of the combinatorial machinery.
+
+Direct and compose read the same cached inverse-relation series g_k and
+differ only in how they combine them with the f(m, 0) column; newton is
+the independent cross-check.
 
 In rational mode the coefficients are exact scalars -- an int when
 integral, otherwise a Fraction; in symbolic mode they are Laurent
@@ -22,7 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .algebra import (
     LaurentPoly,
@@ -33,8 +36,6 @@ from .algebra import (
 )
 from .combinatorics import (
     bell_eval,
-    comp_inverse_coeff_poly,
-    compositions,
     inverse_partition_terms,
 )
 from .series import BivariateEGF, TaylorEGF
@@ -182,12 +183,14 @@ def _column_power(table, n, exponent, order):
     x^order; memoized on the table.
 
     The cache keeps one series per (column, exponent), the longest built
-    so far, and builds it again only when a caller asks for more.  Callers
-    ask only for what they can read: the direct formula reads coefficient
-    l of a power in a(k, l), and a(k, l) reaches y_m only at l = m - n with
-    k <= n <= m <= N, so l <= N - k (see inverse_taylor_coeff).  For
-    example column1^-(2N-1) occurs only at k = N, where its constant term
-    is all that is read.  The result may run past x^order; callers that
+    so far, and builds it again only when a caller asks for more.  Apart
+    from its own recursion it is called by _inverse_coeff_series alone,
+    for the powers in g_k through the order of g_k, which direct and
+    compose read only through x^(N - k) (see inverse_taylor_coeff).  Both
+    ask for g_1, g_2, ... in turn, so a power is first built for the
+    smallest k it occurs in, at the largest order it is ever read to; for
+    example column1^-(2N-1) occurs only in g_N, where its constant term is
+    all that is read.  The result may run past x^order; callers that
     multiply it truncate it first."""
     key = ("colpow", n, exponent)
     hit = table._cache.get(key)
@@ -211,62 +214,20 @@ def inverse_taylor_coeff(table, k, l):
     """Taylor coefficient a(k, l): the l-th x-coefficient of the k-th
     EGF coefficient of the inverse relation x(y) attached to the table.
 
-    Computed as a partition sum: for each multiplicity vector r counting
-    partitions of a (2k-2)-set into k-1 blocks, a product rule spreads l
-    x-derivatives over the factors
-
-        (column 1)^(r_1 - 2k + 1) * (column 2)^(r_2) * ... * (column k)^(r_k)
-
-    and each factor contributes an exact coefficient of that integer power
-    of a column series.  Slots with zero exponent are skipped.
-
-    The column powers are built through x^max(l, N - k) only, N the table
-    order.  The direct formula pairs a(k, l) with B(n, k) at l = m - n,
-    and k <= n <= m <= N, so it never asks for l > N - k; building each
-    power through x^(N - k) from the start means a later call of the
-    formula never has to extend it.  The max keeps calls with a larger l
-    exact.
+    Read off the inverse-relation series g_k of _inverse_coeff_series,
+    built through x^max(l, N - k), N the table order.  The direct formula
+    pairs a(k, l) with B(n, k) at l = m - n, and k <= n <= m <= N, so it
+    never asks for l > N - k; building g_k through x^(N - k) from the
+    start means a later call of the formula never has to extend it, and
+    compose, which reads g_k through the same x^(N - k), finds it cached.
+    The max keeps calls with a larger l exact.
     """
     if k < 1:
         raise TableError("k must be at least 1")
     if l < 0 or l > table.order or k > table.order:
         raise TableError("index outside the table order")
-    key = ("invcoeff", k, l)
-    hit = table._cache.get(key)
-    if hit is not None:
-        return hit
     ensure_valid(table)
-    order = max(l, table.order - k)
-    total = 0
-    lfact = factorial(l)
-    for r, weight in inverse_partition_terms(k):
-        # slots that actually carry a factor: column 1 always (its exponent
-        # r_1 - 2k + 1 < 0), plus every higher column with r_nu > 0
-        slots = [(1, r[0] - 2 * k + 1)]
-        slots.extend((nu, r[nu - 1]) for nu in range(2, k + 1) if r[nu - 1])
-        powers = [_column_power(table, nu, exponent, order).coeffs
-                  for nu, exponent in slots]
-        for j in compositions(l, len(slots)):
-            term = weight * (lfact // _prod_factorials(j))
-            for coeffs, jv in zip(powers, j):
-                c = coeffs[jv]
-                if not c:
-                    term = 0
-                    break
-                term = term * c
-            if term:
-                total = total + term
-    total = as_coefficient(total)
-    table._cache[key] = total
-    return total
-
-
-def _prod_factorials(j):
-    p = 1
-    for v in j:
-        if v > 1:
-            p *= factorial(v)
-    return p
+    return _inverse_coeff_series(table, k, max(l, table.order - k)).coeffs[l]
 
 
 def y_coeff_direct(table, m):
@@ -356,26 +317,36 @@ def expand_direct(table, order=None):
 
 
 def _inverse_coeff_series(table, k, order):
-    """The k-th EGF coefficient of the inverse relation as a series in x:
-    the explicit inversion polynomial evaluated at the column series,
-    through x^order.
+    """The k-th EGF coefficient g_k of the inverse relation as a series in
+    x, exact at least through x^order; memoized on the table.
 
-    The order need not be the table's: compose asks for g_k only through
-    x^(N-k), because it multiplies g_k by f(x,0)^k, whose valuation is k,
-    so no coefficient of g_k above x^(N-k) reaches x^N."""
-    key = ("invseries", k, order)
+    g_k is the first-kind Stirling polynomial of index (k, 1) evaluated at
+    the column series: for each multiplicity vector r of a partition of a
+    (2k-2)-set into k-1 blocks, its signed weight times
+
+        (column 1)^(r_1 - 2k + 1) * (column 2)^(r_2) * ... * (column k)^(r_k),
+
+    slots with zero exponent skipped.  A column that is a polynomial of
+    low degree has a power with trailing zeros, which the zero-skipping
+    series product passes over.
+
+    Like _column_power, the cache keeps one series per k, the longest
+    built so far, and builds it again only when a caller asks for more;
+    the result may run past x^order.  The order need not be the table's:
+    compose asks for g_k only through x^(N-k), because it multiplies g_k
+    by f(x,0)^k, whose valuation is k, so no coefficient of g_k above
+    x^(N-k) reaches x^N."""
+    key = ("invseries", k)
     hit = table._cache.get(key)
-    if hit is not None:
+    if hit is not None and hit.order >= order:
         return hit
-    poly = comp_inverse_coeff_poly(k)
     acc = TaylorEGF.zero(order)
-    for mon, c in poly.sorted_terms():
-        prod = None
-        for i in range(0, len(mon), 2):
-            nu = decode(mon[i])[1]
-            pw = _column_power(table, nu, mon[i + 1], order).truncate(order)
-            prod = pw if prod is None else prod * pw
-        acc = acc + prod * c
+    for r, weight in inverse_partition_terms(k):
+        prod = _column_power(table, 1, r[0] - 2 * k + 1, order).truncate(order)
+        for nu in range(2, k + 1):
+            if r[nu - 1]:
+                prod = prod * _column_power(table, nu, r[nu - 1], order).truncate(order)
+        acc = acc + prod * weight
     table._cache[key] = acc
     return acc
 
@@ -401,7 +372,7 @@ def expand_compose(table, order=None):
         power = power * phi0 * Fraction(1, k)
         if power.is_zero():
             break
-        g = _inverse_coeff_series(table, k, order - k)
+        g = _inverse_coeff_series(table, k, order - k).truncate(order - k)
         term = TaylorEGF(g.coeffs, order=order) * power
         total = (total - term) if k % 2 else (total + term)
     if total.coeffs[0]:

@@ -19,6 +19,7 @@ from implicitseries.combinatorics import (
     bell_eval,
     bell_partial,
     comp_inverse_coeff_poly,
+    generic_monomial_count,
     stirling1_poly,
     stirling_number,
 )
@@ -67,8 +68,10 @@ def test_criterion_03_monomial_census():
     t0 = time.perf_counter()
     count = monomial_count(y_coeff_direct(CoeffTable.symbolic(15), 15))
     seconds = time.perf_counter() - t0
-    ok = ok and count == 91159
-    note = f"census of y_3 = 9, y_4 = 24 and y_15 = {count} (in {seconds:.1f} s)"
+    slots = generic_monomial_count(15)
+    ok = ok and count == 91159 and count == slots
+    note = (f"census of y_3 = 9, y_4 = 24 and y_15 = {count} (in {seconds:.1f} s), "
+            f"slot count {slots}")
     _verdict(3, note, ok)
 
 

@@ -262,6 +262,42 @@ def test_status_1_exponent_tower_fails_fast(capsys):
     assert code == 1 and "byte 4" in err and "limit" in err
 
 
+@pytest.mark.parametrize("method", ["direct", "compose", "newton", "all"])
+@pytest.mark.parametrize("source", [
+    ("--mode", "symbolic"),
+    ("--builtin", "lambert"),
+    ("--expr", "y*exp(y)-x"),
+    ("--input", "table.json"),
+])
+def test_status_1_oversized_order_fails_fast(capsys, monkeypatch, source, method):
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    for name in ("builtin_table", "table_from_expr", "load_table_file"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli.CoeffTable, "symbolic", classmethod(refuse))
+    mode = "symbolic" if source[0] == "--mode" else "rational"
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, *source, "-N", str(10**9), "--method", method)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert f"ceiling {cli._order_ceiling(mode, method)}" in err
+
+
+def test_order_ceilings_admit_the_benchmark_orders_and_lambert_30():
+    for mode, method, order in [("symbolic", "direct", 15), ("symbolic", "all", 10),
+                                ("rational", "all", 30), ("rational", "newton", 40)]:
+        assert cli._order_ceiling(mode, method) >= order, (mode, method)
+
+
+def test_order_ceiling_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setitem(cli._ORDER_CEILINGS, ("rational", "compose"), 3)
+    assert run(capsys, "--builtin", "geometric", "-N", "3")[0] == 0
+    code, _, err = run(capsys, "--builtin", "geometric", "-N", "4")
+    assert code == 1 and "ceiling 3 for --mode rational --method all" in err
+    assert run(capsys, "--builtin", "geometric", "-N", "4", "--method", "newton")[0] == 0
+
+
 def test_status_1_domain_error(capsys):
     code, _, err = run(capsys, "--expr", "1/x + y", "-N", "2")
     assert code == 1

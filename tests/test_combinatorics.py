@@ -13,6 +13,7 @@ from implicitseries.combinatorics import (
     bell_partial,
     comp_inverse_coeff_poly,
     compositions,
+    generic_monomial_count,
     inverse_partition_terms,
     partition_sequences,
     stirling1_poly,
@@ -155,6 +156,39 @@ def test_inverse_partition_term_structure():
             assert c != 0
             total_terms += 1
         assert total_terms == len(partition_sequences(2 * n - 2, n - 1, n))
+
+
+def _generic_monomial_count_brute(order):
+    # slots with n >= 1 first, so the running sum of (n - 1) only grows
+    # until the n = 0 slots, and may be cut at order - 1
+    slots = sorted(
+        ((m, n) for m in range(order + 1) for n in range(order + 1)
+         if (m, n) not in ((0, 0), (0, 1))),
+        key=lambda mn: mn[1] == 0)
+
+    def count(i, s, t):
+        if i == len(slots):
+            return 1 if (s, t) == (order, -1) else 0
+        m, n = slots[i]
+        total, r = 0, 0
+        while s + m * r <= order and t + (n - 1) * r <= order - 1:
+            total += count(i + 1, s + m * r, t + (n - 1) * r)
+            r += 1
+        return total
+
+    return count(0, 0, 0)
+
+
+def test_generic_monomial_count_against_slot_search():
+    for order in range(1, 6):
+        assert generic_monomial_count(order) == _generic_monomial_count_brute(order)
+
+
+def test_generic_monomial_count_known_values():
+    assert [generic_monomial_count(n) for n in range(1, 13)] == [
+        1, 3, 9, 24, 61, 145, 333, 732, 1565, 3247, 6583, 13047]
+    with pytest.raises(ValueError):
+        generic_monomial_count(0)
 
 
 def _falling_factorial_coeffs(n):

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from implicitseries.algebra import NotInvertibleError
 from implicitseries.expr import (
@@ -142,6 +144,28 @@ def test_print_parse_round_trip_on_random_trees():
         text = to_text(tree)
         assert parse(text) == tree
         assert to_text(parse(text)) == text
+
+
+# literals are unsigned: a negative number is Neg of its magnitude
+_expr_trees = st.recursive(
+    st.one_of(
+        st.fractions(min_value=0, max_denominator=60).map(Num),
+        st.sampled_from([Var("x"), Var("y")]),
+    ),
+    lambda children: st.one_of(
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+        st.builds(Neg, children),
+        st.builds(Pow, children, st.integers(-MAX_EXPONENT, MAX_EXPONENT)),
+        st.builds(Call, st.sampled_from(["exp", "log"]), children),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_expr_trees)
+def test_print_parse_round_trip_on_generated_trees(tree):
+    assert parse(to_text(tree)) == tree
 
 
 def test_print_parse_fixpoint_on_sources():

@@ -16,7 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from implicitseries import implicit
-from implicitseries.algebra import LaurentPoly, as_coefficient, fsym, invert_scalar
+from implicitseries.algebra import (
+    LaurentPoly,
+    as_coefficient,
+    decode,
+    fcode,
+    fsym,
+    invert_scalar,
+)
+from implicitseries.combinatorics import (
+    compositions,
+    generic_monomial_count,
+    inverse_partition_terms,
+)
 from implicitseries.expr import table_from_expr
 from implicitseries.implicit import (
     CoeffTable,
@@ -36,7 +48,6 @@ from implicitseries.implicit import (
     specialize,
     validate_table,
     y_coeff_direct,
-    _inverse_coeff_series,
 )
 from implicitseries.series import BivariateEGF, TaylorEGF
 
@@ -131,24 +142,41 @@ def test_inverse_taylor_coeff_known_symbolic_values():
     assert inverse_taylor_coeff(t, 2, 0) == -f(0, 2) * f(0, 1) ** -3
 
 
-def test_inverse_taylor_coeff_matches_series_evaluation():
-    # same quantity through an unrelated pipeline: evaluate the inversion
-    # polynomial at the column series and read off coefficient l
+def _inverse_coeff_by_compositions(table, k, l):
+    """a(k, l) by the product rule: for each partition term of the
+    first-kind polynomial of index (k, 1), spread l x-derivatives over its
+    column powers in every weak composition of l, with weights l!/prod j!.
+    Shares neither the series g_k nor the column-power cache with
+    inverse_taylor_coeff."""
+    total = 0
+    for r, weight in inverse_partition_terms(k):
+        slots = [(1, r[0] - 2 * k + 1)]
+        slots.extend((nu, r[nu - 1]) for nu in range(2, k + 1) if r[nu - 1])
+        powers = [column_series(table, nu, l).pow_int(e).coeffs for nu, e in slots]
+        for j in compositions(l, len(slots)):
+            term = weight * factorial(l)
+            for coeffs, jv in zip(powers, j):
+                term = term * coeffs[jv] * Fraction(1, factorial(jv))
+            total = total + term
+    return as_coefficient(total)
+
+
+def test_inverse_taylor_coeff_matches_composition_reference():
     rng = random.Random(321)
     for _ in range(8):
         t = _random_table(rng, 5)
         for k in range(1, 6):
-            series = _inverse_coeff_series(t, k, 5)
             for l in range(0, 6):
-                assert inverse_taylor_coeff(t, k, l) == series.coeffs[l], (k, l)
+                want = _inverse_coeff_by_compositions(t, k, l)
+                assert inverse_taylor_coeff(t, k, l) == want, (k, l)
 
 
-def test_inverse_taylor_coeff_symbolic_matches_series_evaluation():
-    t = CoeffTable.symbolic(3)
-    for k in range(1, 4):
-        series = _inverse_coeff_series(t, k, 3)
-        for l in range(0, 4):
-            assert inverse_taylor_coeff(t, k, l) == series.coeffs[l], (k, l)
+def test_inverse_taylor_coeff_symbolic_matches_composition_reference():
+    t = CoeffTable.symbolic(5)
+    for k in range(1, 6):
+        for l in range(0, 6):
+            want = _inverse_coeff_by_compositions(t, k, l)
+            assert inverse_taylor_coeff(t, k, l) == want, (k, l)
 
 
 def test_inverse_taylor_coeff_bounds():
@@ -181,6 +209,27 @@ def test_known_census_counts():
     t = CoeffTable.symbolic(4)
     r = expand_direct(t)
     assert [monomial_count(v) for v in r.y] == [1, 3, 9, 24]
+
+
+def test_generic_monomial_count_matches_the_direct_census():
+    r = expand_direct(CoeffTable.symbolic(10))
+    assert [monomial_count(v) for v in r.y] == [
+        generic_monomial_count(n) for n in range(1, 11)]
+
+
+def test_generic_coefficient_signs_follow_the_f01_power():
+    # a monomial with the factor F(0,1)^-k has sign (-1)^k, and its other
+    # exponents r satisfy the two sums that generic_monomial_count counts
+    f01 = fcode(0, 1)
+    for n, y in enumerate(expand_direct(CoeffTable.symbolic(8)).y, 1):
+        for mon, c in y.terms().items():
+            exps = dict(zip(mon[::2], mon[1::2]))
+            k = -exps.pop(f01)
+            assert (c > 0) == (k % 2 == 0), (n, mon, c)
+            slots = [(decode(code)[1:], e) for code, e in exps.items()]
+            assert sum(e for _, e in slots) == k
+            assert sum(m * e for (m, _), e in slots) == n
+            assert sum((nn - 1) * e for (_, nn), e in slots) == -1
 
 
 def test_geometric_and_lambert_closed_forms():
@@ -280,6 +329,22 @@ def test_column_powers_grow_on_demand():
     fresh = CoeffTable.symbolic(order)
     for k, l in reversed(calls):
         assert inverse_taylor_coeff(t, k, l) == inverse_taylor_coeff(fresh, k, l), (k, l)
+
+
+def test_inverse_coeff_series_keeps_one_series_per_k():
+    order = 6
+    t = CoeffTable.symbolic(order)
+
+    def series_orders():
+        return {key[1]: v.order for key, v in t._cache.items() if key[0] == "invseries"}
+
+    direct = expand_direct(t).y
+    assert series_orders() == {k: order - k for k in range(1, order + 1)}
+    # l above N - k rebuilds g_k in place, longer
+    for k in range(1, order + 1):
+        inverse_taylor_coeff(t, k, order)
+    assert series_orders() == {k: order for k in range(1, order + 1)}
+    assert expand_compose(t).y == direct
 
 
 def test_scaling_in_x():
