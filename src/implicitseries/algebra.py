@@ -19,29 +19,37 @@ with such coefficients over two families of indeterminates,
 where exactly ``F(0, 1)`` and ``X(1)`` are invertible: only they may carry
 negative exponents.  Everything is immutable after construction and all
 arithmetic is exact.
+
+Inside a polynomial a monomial is one int, its packed key (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007), so a product of monomials is one int
+addition.  Exponents stay below 2**14 in absolute value; an operation that
+could pass that raises OverflowError instead of wrapping.  Outside the
+class a monomial is the flat tuple (code0, exp0, code1, exp1, ...), codes
+strictly increasing and no zero exponents.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 
 class NotInvertibleError(ArithmeticError):
     """Raised when an inverse is requested of a non-unit value."""
 
 
-# Indeterminates are packed into single integer codes so that monomials can
-# be flat int tuples (cheap to hash, merge and compare).  The numeric order
-# of codes realizes the canonical name order
+# Indeterminates are named by single integer codes.  The numeric order of
+# codes realizes the canonical name order
 #   F(0,0) < F(0,1) < ... < F(m,n) < X(1) < X(2) < ...
 # with F(m,n) ordered lexicographically by (m, n).
 _F_SHIFT = 20
 _INDEX_LIMIT = 1 << _F_SHIFT
 _X_BASE = 1 << 50
 
-# Exponents entering the ring stay below this bound, far beyond any exponent
-# this engine can meaningfully produce, so a runaway value fails loudly.
-_EXP_LIMIT = 1 << 40
+# Exponents, and the bound each polynomial keeps on them, stay below this,
+# half the 2**15 that a balanced 16-bit slot holds.
+_EXP_LIMIT = 1 << 14
 
 
 def fcode(m: int, n: int) -> int:
@@ -83,15 +91,60 @@ def mon_sort_key(mon):
     return (sum(abs(e) for e in mon[1::2]), mon)
 
 
-def _canonical_monomial(factors) -> tuple:
-    """Sort factor pairs by code, merge duplicates, drop zero exponents."""
+# -- packed monomials ----------------------------------------------------
+#
+# The key of a monomial is sum(e_s << (16 * s)) over its slots s, each
+# exponent e_s a balanced digit: two's-complement, so a negative exponent
+# borrows from the slots above and a sum of keys is the key of the product
+# while every |e_s| < 2**15.  Each polynomial keeps a bound on its |e_s|
+# (a product's is the sum of its factors', a sum's the larger one) and a
+# product whose bound reaches _EXP_LIMIT raises before it is formed.
+#
+# The slot of an indeterminate is a function of its code alone, so no table
+# grows with the inputs: X(i) takes every 16th slot, 16 * (i - 1), and the
+# F(m, n) fill the slots between in diagonal order (by m + n, then n),
+# which keeps the keys of the generic y_N short.  Slots stop at _SLOT_LIMIT,
+# past every F(m, n) with m + n < 350 and every X(i) with i <= 4096, so a
+# key stays below 2**20 bits.  Keys are decoded into flat tuples only at
+# the public edges (`terms`, `sorted_terms`, `variables`, ...).
+
+_SLOT_BITS = 16
+_SLOT_HALF = 1 << (_SLOT_BITS - 1)
+_SLOT_LIMIT = 1 << 16
+_HALF_DIGIT = _SLOT_HALF.to_bytes(2, "little")
+
+
+def _slot(code: int) -> int:
+    if code >= _X_BASE:
+        s = ((code ^ _X_BASE) - 1) << 4
+    else:
+        n = code & (_INDEX_LIMIT - 1)
+        d = (code >> _F_SHIFT) + n
+        j = d * (d + 1) // 2 + n
+        s = j + j // 15 + 1
+    if s >= _SLOT_LIMIT:
+        raise OverflowError(f"{code_name(code)} has no slot in a packed monomial")
+    return s
+
+
+def _slot_code(s: int) -> int:
+    if not s & 15:
+        return _X_BASE | ((s >> 4) + 1)
+    j = s - (s >> 4) - 1
+    d = (isqrt(8 * j + 1) - 1) // 2
+    n = j - d * (d + 1) // 2
+    return ((d - n) << _F_SHIFT) | n
+
+
+def _pack(factors):
+    """(key, largest |exponent|) of a monomial given as (code, exponent)
+    pairs in any order; repeated codes add up and zero exponents drop out."""
     acc: dict[int, int] = {}
     for code, e in factors:
         acc[code] = acc.get(code, 0) + e
-    out = []
-    for code in sorted(acc):
-        e = acc[code]
-        if e == 0:
+    key = bound = 0
+    for code, e in acc.items():
+        if not e:
             continue
         if e < 0 and code not in _INVERTIBLE_CODES:
             raise ValueError(
@@ -99,9 +152,27 @@ def _canonical_monomial(factors) -> tuple:
             )
         if abs(e) >= _EXP_LIMIT:
             raise OverflowError("monomial exponent out of supported range")
-        out.append(code)
-        out.append(e)
-    return tuple(out)
+        key += e << (_SLOT_BITS * _slot(code))
+        bound = max(bound, abs(e))
+    return key, bound
+
+
+def _unpack(key: int) -> tuple:
+    """The flat (code, exponent, ...) tuple of a packed key."""
+    if not key:
+        return ()
+    # adding 2**15 to every slot the key reaches makes every digit
+    # nonnegative; xor with the same bias leaves the zero slots zero
+    bias = int.from_bytes(_HALF_DIGIT * (key.bit_length() // _SLOT_BITS + 1), "little")
+    z = (key + bias) ^ bias
+    pairs = []
+    while z:
+        shift = (z.bit_length() - 1) & -_SLOT_BITS
+        d = z >> shift
+        z ^= d << shift
+        pairs.append((_slot_code(shift // _SLOT_BITS), (d ^ _SLOT_HALF) - _SLOT_HALF))
+    pairs.sort()
+    return tuple(x for pair in pairs for x in pair)
 
 
 def _canonical(value):
@@ -115,54 +186,8 @@ def _canonical(value):
 
 # -- term kernel ---------------------------------------------------------
 #
-# A polynomial's raw data is a dict mapping monomials to nonzero canonical
-# coefficients; a monomial is a flat tuple (code0, exp0, code1, exp1, ...)
-# with codes strictly increasing and no zero exponents, and the empty tuple
-# is the unit monomial.
-
-
-def mon_mul(a, b):
-    """Merge two monomials, adding exponents; cancelled factors drop out."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    na, nb = len(a), len(b)
-    i = j = 0
-    while i < na and j < nb:
-        ca = a[i]
-        cb = b[j]
-        if ca == cb:
-            e = a[i + 1] + b[j + 1]
-            if e:
-                out.append(ca)
-                out.append(e)
-            i += 2
-            j += 2
-        elif ca < cb:
-            out.append(ca)
-            out.append(a[i + 1])
-            i += 2
-        else:
-            out.append(cb)
-            out.append(b[j + 1])
-            j += 2
-    if i < na:
-        out.extend(a[i:])
-    if j < nb:
-        out.extend(b[j:])
-    return tuple(out)
-
-
-def mon_pow(m, k):
-    """Raise a monomial to an integer power (k may be negative)."""
-    if k == 0:
-        return ()
-    out = list(m)
-    for i in range(1, len(out), 2):
-        out[i] *= k
-    return tuple(out)
+# A polynomial's raw data is a dict mapping packed monomial keys to nonzero
+# canonical coefficients; the key 0 is the unit monomial.
 
 
 def mul_terms(a, b):
@@ -173,7 +198,7 @@ def mul_terms(a, b):
     get = out.get
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = mon_mul(ma, mb)
+            m = ma + mb
             c = get(m)
             if c is None:
                 out[m] = ca * cb
@@ -216,45 +241,50 @@ def scale_terms(a, c):
 class LaurentPoly:
     """Sparse Laurent polynomial with exact scalar coefficients.
 
-    Internally a dict mapping flat monomial tuples to nonzero canonical
-    scalars; never mutated after construction, so instances are safe to
-    share and to use as dict keys.
+    Built from (flat monomial tuple, coefficient) pairs or a dict of them.
+    Internally a dict mapping packed monomial keys to nonzero canonical
+    scalars, and a bound on the absolute value of every exponent; never
+    mutated after construction, so instances are safe to share and to use
+    as dict keys.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_bound", "_hash")
 
     def __init__(self, terms=None):
         if terms:
-            self._terms = _normalize_raw(terms)
+            self._terms, self._bound = _normalize_raw(terms)
         else:
-            self._terms = {}
+            self._terms, self._bound = {}, 0
         self._hash = None
 
     @classmethod
-    def _raw(cls, terms: dict) -> "LaurentPoly":
-        # Trusted constructor: terms must already be normalized.
+    def _raw(cls, terms: dict, bound: int) -> "LaurentPoly":
+        # Trusted constructor: terms must already be normalized, and no
+        # exponent may exceed bound in absolute value.
         p = cls.__new__(cls)
         p._terms = terms
+        p._bound = bound
         p._hash = None
         return p
 
     @classmethod
     def const(cls, value) -> "LaurentPoly":
         c = _canonical(value)
-        return cls._raw({(): c} if c else {})
+        return cls._raw({0: c} if c else {}, 0)
 
     @classmethod
     def variable(cls, code: int) -> "LaurentPoly":
-        return cls._raw({(code, 1): 1})
+        return cls._raw({1 << (_SLOT_BITS * _slot(code)): 1}, 1)
 
     # -- queries ---------------------------------------------------------
 
     def terms(self) -> dict:
-        """The raw term dict; callers must not mutate it."""
-        return self._terms
+        """The term dict, keyed by flat monomial tuples; a fresh copy."""
+        return {_unpack(m): c for m, c in self._terms.items()}
 
     def sorted_terms(self):
-        return sorted(self._terms.items(), key=lambda kv: mon_sort_key(kv[0]))
+        return sorted(((_unpack(m), c) for m, c in self._terms.items()),
+                      key=lambda kv: mon_sort_key(kv[0]))
 
     def monomial_count(self) -> int:
         return len(self._terms)
@@ -267,19 +297,20 @@ class LaurentPoly:
         monomial in invertible indeterminates."""
         if len(self._terms) != 1:
             return False
-        mon = next(iter(self._terms))
-        return all(code in _INVERTIBLE_CODES for code in mon[::2])
+        (mon,) = self._terms
+        return all(code in _INVERTIBLE_CODES for code in _unpack(mon)[::2])
 
     def unit_inverse(self) -> "LaurentPoly":
         if not self.is_unit():
             raise NotInvertibleError(f"not a unit: {self}")
         ((mon, c),) = self._terms.items()
-        return LaurentPoly._raw({mon_pow(mon, -1): invert_scalar(c)})
+        return LaurentPoly._raw({-mon: invert_scalar(c)}, self._bound)
 
     def single_variable_code(self) -> int:
         """The code of a bare variable (one term, coefficient 1, exponent 1)."""
         if len(self._terms) == 1:
-            ((mon, c),) = self._terms.items()
+            ((key, c),) = self._terms.items()
+            mon = _unpack(key)
             if len(mon) == 2 and mon[1] == 1 and c == 1:
                 return mon[0]
         raise ValueError(f"not a bare variable: {self}")
@@ -287,8 +318,8 @@ class LaurentPoly:
     def variables(self):
         """Sorted codes of all indeterminates occurring in the polynomial."""
         seen = set()
-        for mon in self._terms:
-            seen.update(mon[::2])
+        for key in self._terms:
+            seen.update(_unpack(key)[::2])
         return sorted(seen)
 
     # -- arithmetic ------------------------------------------------------
@@ -304,9 +335,16 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant hashes like its scalar, as it compares equal to it
         h = self._hash
         if h is None:
-            h = hash(frozenset(self._terms.items()))
+            terms = self._terms
+            if not terms:
+                h = hash(0)
+            elif len(terms) == 1 and 0 in terms:
+                h = hash(terms[0])
+            else:
+                h = hash(frozenset(terms.items()))
             self._hash = h
         return h
 
@@ -321,12 +359,12 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return LaurentPoly._raw(add_terms(self._terms, o._terms))
+        return LaurentPoly._raw(add_terms(self._terms, o._terms), max(self._bound, o._bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._raw({m: -c for m, c in self._terms.items()})
+        return LaurentPoly._raw({m: -c for m, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -342,11 +380,14 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            return LaurentPoly._raw(mul_terms(self._terms, other._terms))
+            bound = self._bound + other._bound
+            if bound >= _EXP_LIMIT:
+                raise OverflowError("monomial exponent out of supported range")
+            return LaurentPoly._raw(mul_terms(self._terms, other._terms), bound)
         if isinstance(other, (int, Fraction)):
             if not other:
                 return _ZERO
-            return LaurentPoly._raw(scale_terms(self._terms, other))
+            return LaurentPoly._raw(scale_terms(self._terms, other), self._bound)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -446,15 +487,18 @@ class LaurentPoly:
         return out
 
 
-def _normalize_raw(terms) -> dict:
-    """Normalize raw term data into the canonical dict representation."""
+def _normalize_raw(terms):
+    """Normalize raw term data, keyed by flat monomial tuples, into the
+    packed term dict and the bound on its exponents."""
     items = terms.items() if isinstance(terms, dict) else terms
-    acc: dict[tuple, int | Fraction] = {}
+    acc: dict[int, int | Fraction] = {}
+    bound = 0
     for mon, c in items:
-        mon = _canonical_monomial(zip(mon[::2], mon[1::2]))
+        mon, b = _pack(zip(mon[::2], mon[1::2]))
         c = _canonical(c)
         if not c:
             continue
+        bound = max(bound, b)
         prev = acc.get(mon)
         if prev is None:
             acc[mon] = c
@@ -464,11 +508,11 @@ def _normalize_raw(terms) -> dict:
                 acc[mon] = s
             else:
                 del acc[mon]
-    return acc
+    return acc, bound
 
 
-_ZERO = LaurentPoly._raw({})
-_ONE = LaurentPoly._raw({(): 1})
+_ZERO = LaurentPoly._raw({}, 0)
+_ONE = LaurentPoly._raw({0: 1}, 0)
 
 ZERO = _ZERO
 ONE = _ONE
@@ -491,7 +535,7 @@ def poly_normalize(p) -> LaurentPoly:
     (flat monomial tuple, coefficient) pairs).  Idempotent.
     """
     if isinstance(p, LaurentPoly):
-        return LaurentPoly(p._terms)
+        return LaurentPoly._raw({m: _canonical(c) for m, c in p._terms.items()}, p._bound)
     return LaurentPoly(p)
 
 

@@ -227,10 +227,17 @@ def _write_json(obj, newline, put):
         raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
-def _poly_obj(value):
-    if isinstance(value, LaurentPoly):
-        return value.to_obj()
-    return LaurentPoly.const(value).to_obj()
+class _SerializedOnIteration(list):
+    """The coefficients of y, each turned into its `to_obj()` form only
+    when iteration reaches it, so that the writer holds one coefficient's
+    term dicts at a time.  A list, so that `_write_json` and `json.dumps`
+    both walk it."""
+
+    def __iter__(self):
+        for value in list.__iter__(self):
+            if not isinstance(value, LaurentPoly):
+                value = LaurentPoly.const(value)
+            yield value.to_obj()
 
 
 def _payload(result, mode, method_label, count):
@@ -241,7 +248,7 @@ def _payload(result, mode, method_label, count):
             "y": [str(v) for v in result.y],
         }
     else:
-        body = {"order": result.order, "y": [_poly_obj(v) for v in result.y]}
+        body = {"order": result.order, "y": _SerializedOnIteration(result.y)}
     if count:
         body["monomials"] = [monomial_count(v) for v in result.y]
     return body

@@ -102,7 +102,7 @@ def bell_partial(n: int, k: int) -> LaurentPoly:
         # distinct multiplicity vectors give distinct monomials; the weight
         # counts set partitions, so the division is exact
         terms[tuple(mon)] = factorial(n) // denom
-    return LaurentPoly._raw(terms)
+    return LaurentPoly(terms)
 
 
 def bell_eval(n: int, k: int, args, memo=None):
@@ -183,7 +183,7 @@ def comp_inverse_coeff_poly(n: int) -> LaurentPoly:
                 mon.append(xcode(i))
                 mon.append(r[i - 1])
         terms[tuple(mon)] = c
-    return LaurentPoly._raw(terms)
+    return LaurentPoly(terms)
 
 
 @lru_cache(maxsize=None)

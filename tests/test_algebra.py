@@ -4,18 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from implicitseries.algebra import (
+    _EXP_LIMIT,
     ONE,
     ZERO,
     LaurentPoly,
     NotInvertibleError,
+    _pack,
+    _unpack,
     as_coefficient,
     fcode,
     fsym,
     invert_scalar,
-    mon_mul,
-    mon_pow,
     poly_eval,
     poly_mul,
     poly_normalize,
@@ -207,6 +210,21 @@ def test_equality_and_hash():
     assert d[b] == "v"
 
 
+def test_constants_hash_like_their_scalars():
+    for v in (3, -7, Fraction(1, 2), Fraction(-5, 3), Fraction(4, 2), 0):
+        p = LaurentPoly.const(v)
+        assert p == v
+        assert hash(p) == hash(v)
+        assert len({v, p}) == 1
+    assert hash(ZERO) == hash(0) and len({0, ZERO}) == 1
+    assert hash(ONE) == hash(1) and len({1, ONE}) == 1
+    # constants reached by arithmetic, not built by const
+    assert hash(fsym(1, 0) - fsym(1, 0)) == hash(0)
+    u = 2 * fsym(0, 1)
+    assert hash(u * u.unit_inverse()) == hash(1)
+    assert hash(Fraction(1, 2) * (fsym(1, 0) + 2) - Fraction(1, 2) * fsym(1, 0)) == hash(1)
+
+
 def test_sorted_terms_order():
     # total absolute degree first, then the flat tuple
     p = fsym(1, 0) ** 3 + fsym(0, 1) + fsym(2, 1) * fsym(1, 0)
@@ -237,6 +255,35 @@ def test_str_forms():
 def test_exponent_overflow_guarded():
     with pytest.raises(OverflowError):
         poly_normalize([((X1, 1 << 41), Fraction(1))])
+    with pytest.raises(OverflowError):
+        poly_normalize([((X2, _EXP_LIMIT), 1)])
+    with pytest.raises(OverflowError):
+        poly_normalize([((F01, -_EXP_LIMIT), 1)])
+
+
+def test_products_past_the_slot_raise_instead_of_wrapping():
+    with pytest.raises(OverflowError):
+        fsym(1, 0) ** (2**15)
+    top = poly_normalize([((X2, _EXP_LIMIT - 1), 1)])
+    with pytest.raises(OverflowError):
+        top * xsym(2)
+    with pytest.raises(OverflowError):
+        top * fsym(1, 0)  # the bound is checked, not the exponent reached
+    low = poly_normalize([((F01, -(_EXP_LIMIT - 1)), 1)])
+    with pytest.raises(OverflowError):
+        low * fsym(0, 1) ** -1
+    with pytest.raises(OverflowError):
+        low ** 2
+    # right below the limit every slot comes out exact
+    h = _EXP_LIMIT // 2
+    a = poly_normalize([((F01, -h), 1), ((X2, h), 1)])
+    b = poly_normalize([((F01, 1 - h), 2), ((X2, h - 1), 1)])
+    assert (a * b).terms() == {
+        (F01, 1 - 2 * h): 2,
+        (F01, -h, X2, h - 1): 1,
+        (F01, 1 - h, X2, h): 2,
+        (X2, 2 * h - 1): 1,
+    }
 
 
 def test_mul_preserves_normal_form_invariants():
@@ -251,19 +298,137 @@ def test_mul_preserves_normal_form_invariants():
             assert all(e != 0 for e in exps)
 
 
-def test_mon_mul_merges_and_cancels():
+def _tuple_mon_mul(a, b):
+    """The reference for the packed product: the merge of two flat
+    (code, exponent, ...) tuples that the package used before monomials
+    were packed into one int."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    na, nb = len(a), len(b)
+    i = j = 0
+    while i < na and j < nb:
+        ca = a[i]
+        cb = b[j]
+        if ca == cb:
+            e = a[i + 1] + b[j + 1]
+            if e:
+                out.append(ca)
+                out.append(e)
+            i += 2
+            j += 2
+        elif ca < cb:
+            out.append(ca)
+            out.append(a[i + 1])
+            i += 2
+        else:
+            out.append(cb)
+            out.append(b[j + 1])
+            j += 2
+    if i < na:
+        out.extend(a[i:])
+    if j < nb:
+        out.extend(b[j:])
+    return tuple(out)
+
+
+def _key(mon):
+    key, _ = _pack(zip(mon[::2], mon[1::2]))
+    return key
+
+
+def _packed_mul(a, b):
+    return _unpack(_key(a) + _key(b))
+
+
+def test_packed_product_merges_and_cancels():
     a = (fcode(0, 1), -1, xcode(1), 2)
     b = (fcode(0, 1), 1, xcode(2), 1)
-    assert mon_mul(a, b) == (xcode(1), 2, xcode(2), 1)
-    assert mon_mul((), a) == a
-    assert mon_mul(a, ()) == a
+    assert _packed_mul(a, b) == (xcode(1), 2, xcode(2), 1)
+    assert _packed_mul((), a) == a
+    assert _packed_mul(a, ()) == a
+    assert _packed_mul(a, (fcode(0, 1), 1, xcode(1), -2)) == ()
+    assert _key(()) == 0
 
 
-def test_mon_pow():
+def test_packed_power():
     m = (xcode(1), 2, xcode(2), 1)
-    assert mon_pow(m, 3) == (xcode(1), 6, xcode(2), 3)
-    assert mon_pow(m, -1) == (xcode(1), -2, xcode(2), -1)
-    assert mon_pow(m, 0) == ()
+    assert _unpack(3 * _key(m)) == (xcode(1), 6, xcode(2), 3)
+    assert _unpack(-_key(m)) == (xcode(1), -2, xcode(2), -1)
+    assert _unpack(0 * _key(m)) == ()
+    p = xsym(1) ** 2 * xsym(2)
+    assert (p ** 3).terms() == {(xcode(1), 6, xcode(2), 3): 1}
+    u = xsym(1) ** 2 * fsym(0, 1)
+    assert u.unit_inverse().terms() == {(F01, -1, X1, -2): 1}
+    assert (xsym(1) ** -2).terms() == {(xcode(1), -2): 1}
+
+
+_INVERTIBLE = (F01, X1)
+
+
+@st.composite
+def _monomials(draw, max_exp=_EXP_LIMIT - 1):
+    """A canonical flat monomial over F(m, n) with m, n <= 60 and X(i) with
+    i <= 80; only F(0, 1) and X(1) take negative exponents."""
+    codes = draw(st.sets(
+        st.one_of(
+            st.builds(fcode, st.integers(0, 60), st.integers(0, 60)),
+            st.builds(xcode, st.integers(1, 80)),
+            st.sampled_from(_INVERTIBLE),
+        ),
+        max_size=8,
+    ))
+    mon = []
+    for code in sorted(codes):
+        low = -max_exp if code in _INVERTIBLE else 1
+        e = draw(st.integers(low, max_exp).filter(bool))
+        mon.extend((code, e))
+    return tuple(mon)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_monomials())
+def test_pack_round_trip(mon):
+    key, bound = _pack(zip(mon[::2], mon[1::2]))
+    assert _unpack(key) == mon
+    assert bound == max((abs(e) for e in mon[1::2]), default=0)
+    assert poly_normalize([(mon, 3)]).terms() == {mon: 3}
+
+
+@st.composite
+def _monomial_pairs(draw):
+    """Two monomials whose exponents add without passing the limit; the
+    second often repeats codes of the first, and sometimes cancels its
+    invertible part."""
+    half = _EXP_LIMIT // 2 - 1
+    a = draw(_monomials(half))
+    b = draw(_monomials(half))
+    exps = dict(zip(b[::2], b[1::2]))
+    for code, e in zip(a[::2], a[1::2]):
+        if code in _INVERTIBLE and draw(st.booleans()):
+            exps[code] = exps.get(code, 0) - e
+    b = tuple(x for code in sorted(exps) if exps[code] for x in (code, exps[code]))
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(_monomial_pairs())
+def test_packed_product_matches_tuple_merge(pair):
+    a, b = pair
+    assert _packed_mul(a, b) == _tuple_mon_mul(a, b)
+    inverse = tuple(x if i % 2 == 0 else -x for i, x in enumerate(a))
+    if all(code in _INVERTIBLE for code in a[::2]):
+        assert _packed_mul(a, inverse) == ()
+
+
+def test_slot_range():
+    for p in (xsym(4096), fsym(349, 0), fsym(0, 349), fsym(174, 175)):
+        assert p.terms() == {(p.single_variable_code(), 1): 1}
+    for make in (lambda: xsym(4097), lambda: fsym(0, 400)):
+        with pytest.raises(OverflowError):
+            make()
 
 
 def _is_canonical(c):

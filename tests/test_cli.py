@@ -7,6 +7,7 @@ import time
 import pytest
 
 import implicitseries.cli as cli
+from implicitseries.algebra import LaurentPoly
 from implicitseries.implicit import CoeffTable, builtin_table, expand
 
 
@@ -130,6 +131,32 @@ def test_json_writer_matches_json_dumps(obj):
     parts = []
     cli._write_json(obj, "\n", parts.append)
     assert "".join(parts) == json.dumps(obj, indent=2)
+
+
+def test_symbolic_payload_is_serialized_one_coefficient_at_a_time(monkeypatch):
+    result = expand(CoeffTable.symbolic(5), 5, "direct")
+    index = {id(v): m for m, v in enumerate(result.y)}
+    real_to_obj = LaurentPoly.to_obj
+    written = []
+    built_at = {}  # coefficient index -> characters written before its to_obj
+
+    def to_obj(self):
+        built_at[index[id(self)]] = sum(map(len, written))
+        return real_to_obj(self)
+
+    monkeypatch.setattr(LaurentPoly, "to_obj", to_obj)
+    body = cli._payload(result, "symbolic", "all", True)
+    assert built_at == {}
+    cli._write_json(body, "\n", written.append)
+    text = "".join(written)
+    assert text == json.dumps(body, indent=2)
+    assert sorted(built_at) == list(range(5))
+    for m in range(1, 5):
+        # y_{m-1} is written out in full before y_m is built
+        parts = []
+        cli._write_json(real_to_obj(result.y[m - 1]), "\n    ", parts.append)
+        previous = "".join(parts)
+        assert text.index(previous) + len(previous) <= built_at[m]
 
 
 def test_check_flag(capsys):

@@ -1,7 +1,7 @@
 """Source hygiene that needs no linter: no module imports a name it never
-uses.
+uses, and the package defines no function or class that nothing uses.
 
-The check reads the syntax tree with the standard library's `ast`.  A name
+The checks read the syntax tree with the standard library's `ast`.  A name
 counts as used when the module reads it anywhere or lists it in `__all__`,
 which is how a package re-exports.
 """
@@ -12,9 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(
-    [*(ROOT / "src" / "implicitseries").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-)
+PACKAGE = sorted((ROOT / "src" / "implicitseries").glob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def _imported_names(tree):
@@ -31,17 +30,22 @@ def _imported_names(tree):
     return out
 
 
-def _used_names(tree):
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+def _all_names(tree):
+    """The strings a module lists in `__all__`."""
+    out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used |= {
+            out |= {
                 e.value for e in ast.walk(node.value)
                 if isinstance(e, ast.Constant) and isinstance(e.value, str)
             }
-    return used
+    return out
+
+
+def _used_names(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _all_names(tree)
 
 
 def unused_imports(source):
@@ -64,3 +68,52 @@ def test_the_scan_sees_unused_and_used_imports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _referenced_names(node):
+    """Names a subtree reads, as bare names or as attributes."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+    return out
+
+
+def unreferenced_definitions(sources):
+    """(module, name) of every top-level function and class of the modules
+    {name: source} that no other top-level statement refers to and the
+    package `__all__` (that of the module named `__init__`) does not list;
+    a definition's references to itself do not count."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    exported = _all_names(trees["__init__"]) if "__init__" in trees else set()
+    statements = [stmt for tree in trees.values() for stmt in tree.body]
+    refs = {id(stmt): _referenced_names(stmt) for stmt in statements}
+    out = []
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if stmt.name in exported:
+                continue
+            if not any(stmt.name in refs[id(other)] for other in statements if other is not stmt):
+                out.append((name, stmt.name))
+    return out
+
+
+def test_the_scan_sees_unreferenced_definitions():
+    sources = {
+        "__init__": "from .a import public\n__all__ = ['public']\n",
+        "a": "def public(): return helper()\n"
+             "def helper(): return 1\ndef dead(): return dead()\n"
+             "class Unused: pass\n",
+        "b": "from .a import dead\nclass Used: pass\nx = Used.attr\n"
+             "def via_attr(): pass\ny = obj.via_attr\n",
+    }
+    assert unreferenced_definitions(sources) == [("a", "dead"), ("a", "Unused")]
+
+
+def test_no_unreferenced_definitions():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert unreferenced_definitions(sources) == []
