@@ -3,7 +3,8 @@
 Scalars are exact and canonical: an ``int`` when the value is integral,
 otherwise a reduced ``fractions.Fraction`` with positive denominator.  Values
 are brought into that form where they enter the ring or are scaled
-(`as_coefficient`, `invert_scalar`, `LaurentPoly.const`, scalar products).
+(`as_coefficient`, `invert_scalar`, `LaurentPoly.const`, scalar products,
+`div_int`).
 The term kernel (`mul_terms`, `add_terms`) makes no per-term check: int
 coefficients stay ints through it, so all of the symbolic expansion is plain
 ``int`` arithmetic, while a product or sum of non-integral Fractions that
@@ -238,6 +239,18 @@ def scale_terms(a, c):
     return out
 
 
+def div_terms(a, n):
+    """Term dict divided by a nonzero int, canonical: an int coefficient
+    that n divides stays an int, and no Fraction is made for it."""
+    out = {}
+    for m, c in a.items():
+        if type(c) is int:
+            out[m] = Fraction(c, n) if c % n else c // n
+        else:
+            out[m] = _canonical(c / n)
+    return out
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial with exact scalar coefficients.
 
@@ -393,8 +406,10 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+        if isinstance(other, int):
+            return div_int(self, other)
+        if isinstance(other, Fraction):
+            return self * (1 / other)
         if isinstance(other, LaurentPoly):
             return self * other.unit_inverse()
         return NotImplemented
@@ -474,17 +489,19 @@ class LaurentPoly:
         """Canonical serialized form: a list of term objects, each
         ``{"c": "p/q", "factors": [{"sym", "m", ("n",) "e"}, ...]}``,
         sorted in the canonical monomial order."""
-        out = []
-        for mon, c in self.sorted_terms():
-            factors = []
-            for i in range(0, len(mon), 2):
-                d = decode(mon[i])
-                if d[0] == "X":
-                    factors.append({"sym": "X", "m": d[1], "e": mon[i + 1]})
-                else:
-                    factors.append({"sym": "F", "m": d[1], "n": d[2], "e": mon[i + 1]})
-            out.append({"c": str(c), "factors": factors})
-        return out
+        return [
+            {"c": str(c),
+             "factors": [_factor_obj(mon[i], mon[i + 1]) for i in range(0, len(mon), 2)]}
+            for mon, c in self.sorted_terms()
+        ]
+
+
+def _factor_obj(code, e):
+    """The serialized form of the factor code^e: {"sym", "m", ("n",) "e"}."""
+    d = decode(code)
+    if d[0] == "X":
+        return {"sym": "X", "m": d[1], "e": e}
+    return {"sym": "F", "m": d[1], "n": d[2], "e": e}
 
 
 def _normalize_raw(terms):
@@ -561,6 +578,20 @@ def invert_scalar(c):
     if not c:
         raise NotInvertibleError("zero has no inverse")
     return _canonical(1 / c)
+
+
+def div_int(value, n):
+    """value / n for a scalar or LaurentPoly value and a nonzero int n,
+    exact and canonical.  An int that n divides becomes value // n, so
+    integral work such as u^n / n! makes no Fraction; anything else gives
+    the same canonical value as value * Fraction(1, n)."""
+    if type(value) is int:
+        return Fraction(value, n) if value % n else value // n
+    if isinstance(value, LaurentPoly):
+        if not n:
+            raise ZeroDivisionError("division by zero")
+        return LaurentPoly._raw(div_terms(value._terms, n), value._bound)
+    return _canonical(value / n)
 
 
 def as_coefficient(value):

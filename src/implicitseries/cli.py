@@ -18,7 +18,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .algebra import ONE, ZERO, LaurentPoly, NotInvertibleError, xsym
+from .algebra import ONE, ZERO, LaurentPoly, NotInvertibleError, _factor_obj, xsym
 from .combinatorics import bell_partial, stirling1_poly, stirling_number
 from .expr import ParseError, table_from_expr
 from .implicit import (
@@ -189,18 +189,25 @@ def _output(out_path):
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _write_json(obj, newline, put):
+def _write_json(obj, newline, put, factor_texts=None):
     """Hand put the text of json.dumps(obj, indent=2), piece by piece, for
-    dicts with str keys, lists, strs and ints.
+    dicts with str keys, lists, strs and ints, and for LaurentPoly values,
+    which stand for their `to_obj()` form.
 
     The stdlib encoder drops to pure Python whenever an indent is set, and
     a symbolic payload runs to megabytes; here the indentation of each
     level is prepared once and no copy of the whole text is held.  newline
-    is a line break plus the indentation of obj's own level."""
+    is a line break plus the indentation of obj's own level.  factor_texts
+    holds the text of each factor already written, by (code, exponent,
+    indentation); a fresh dict is made for each top-level call."""
+    if factor_texts is None:
+        factor_texts = {}
     if isinstance(obj, str):
         put(_encode_str(obj))
     elif type(obj) is int:
         put(int.__repr__(obj))
+    elif isinstance(obj, LaurentPoly):
+        _write_poly(obj, newline, put, factor_texts)
     elif isinstance(obj, dict):
         if not obj:
             put("{}")
@@ -209,7 +216,7 @@ def _write_json(obj, newline, put):
         sep = "{" + inner
         for key, value in obj.items():
             put(sep + _encode_str(key) + ": ")
-            _write_json(value, inner, put)
+            _write_json(value, inner, put, factor_texts)
             sep = "," + inner
         put(newline + "}")
     elif isinstance(obj, list):
@@ -220,24 +227,46 @@ def _write_json(obj, newline, put):
         sep = "[" + inner
         for value in obj:
             put(sep)
-            _write_json(value, inner, put)
+            _write_json(value, inner, put, factor_texts)
             sep = "," + inner
         put(newline + "]")
     else:
         raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
-class _SerializedOnIteration(list):
-    """The coefficients of y, each turned into its `to_obj()` form only
-    when iteration reaches it, so that the writer holds one coefficient's
-    term dicts at a time.  A list, so that `_write_json` and `json.dumps`
-    both walk it."""
-
-    def __iter__(self):
-        for value in list.__iter__(self):
-            if not isinstance(value, LaurentPoly):
-                value = LaurentPoly.const(value)
-            yield value.to_obj()
+def _write_poly(p, newline, put, factor_texts):
+    """The text of p's `to_obj()` list, written straight from its sorted
+    terms with one put per term; no term or factor dict is built, except
+    once for each distinct factor, whose text is kept in factor_texts."""
+    terms = p.sorted_terms()
+    if not terms:
+        put("[]")
+        return
+    inner = newline + "  "  # a term
+    field = inner + "  "  # a key of the term
+    indent = field + "  "  # a factor
+    # str of an int or a Fraction holds nothing that JSON escapes
+    head = "{" + field + '"c": "'
+    factor_sep = "," + indent
+    factors_end = field + "]" + inner + "}"
+    sep = "[" + inner
+    for mon, c in terms:
+        if mon:
+            texts = []
+            for i in range(0, len(mon), 2):
+                key = (mon[i], mon[i + 1], indent)
+                text = factor_texts.get(key)
+                if text is None:
+                    parts = []
+                    _write_json(_factor_obj(mon[i], mon[i + 1]), indent, parts.append)
+                    text = factor_texts[key] = "".join(parts)
+                texts.append(text)
+            put(sep + head + str(c) + '",' + field + '"factors": [' + indent
+                + factor_sep.join(texts) + factors_end)
+        else:
+            put(sep + head + str(c) + '",' + field + '"factors": []' + inner + "}")
+        sep = "," + inner
+    put(newline + "]")
 
 
 def _payload(result, mode, method_label, count):
@@ -248,7 +277,11 @@ def _payload(result, mode, method_label, count):
             "y": [str(v) for v in result.y],
         }
     else:
-        body = {"order": result.order, "y": _SerializedOnIteration(result.y)}
+        body = {
+            "order": result.order,
+            "y": [v if isinstance(v, LaurentPoly) else LaurentPoly.const(v)
+                  for v in result.y],
+        }
     if count:
         body["monomials"] = [monomial_count(v) for v in result.y]
     return body

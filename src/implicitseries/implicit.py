@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from .algebra import (
     LaurentPoly,
     as_coefficient,
     decode,
+    div_int,
     fsym,
     invert_scalar,
 )
@@ -369,7 +369,7 @@ def expand_compose(table, order=None):
     total = TaylorEGF.zero(order)
     power = TaylorEGF.one(order)  # f(x,0)^k / k!, divided one k at a time
     for k in range(1, order + 1):
-        power = power * phi0 * Fraction(1, k)
+        power = power * phi0 / k
         if power.is_zero():
             break
         g = _inverse_coeff_series(table, k, order - k).truncate(order - k)
@@ -421,7 +421,7 @@ def expand_newton(table, order=None):
             for i in range(1, m - n + 2):
                 if u[i] and prev[m - i]:
                     s = s + comb(m, i) * u[i] * prev[m - i]
-            pw[n].append(as_coefficient(s * Fraction(1, n)))
+            pw[n].append(div_int(s, n))
         u.append(_ZERO)  # u_m is unknown yet, so f(0,1) u_m drops out
         s = 0
         for k in range(m + 1):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .algebra import LaurentPoly, NotInvertibleError, as_coefficient, invert_scalar
+from .algebra import LaurentPoly, NotInvertibleError, as_coefficient, div_int, invert_scalar
 from .combinatorics import bell_eval
 
 _ZERO = 0
@@ -122,6 +122,12 @@ class TaylorEGF:
             return TaylorEGF([other * c if c else c for c in self.coeffs])
         return NotImplemented
 
+    def __truediv__(self, n):
+        """The series divided by a nonzero int, exactly (see div_int)."""
+        if not isinstance(n, int):
+            return NotImplemented
+        return TaylorEGF([div_int(c, n) if c else c for c in self.coeffs])
+
     def is_zero(self):
         return not any(self.coeffs)
 
@@ -215,7 +221,7 @@ class TaylorEGF:
         result = TaylorEGF.one(self.order)
         power = TaylorEGF.one(self.order)  # self^k / k!
         for k in range(1, self.order + 1):
-            power = power * self * Fraction(1, k)
+            power = power * self / k
             if power.is_zero():
                 break
             result = result + power
@@ -232,7 +238,8 @@ class TaylorEGF:
             power = power * v
             if power.is_zero():
                 break
-            result = result + power * Fraction((-1) ** (k - 1), k)
+            term = power / k
+            result = (result + term) if k % 2 else (result - term)
         return result
 
 
@@ -346,6 +353,12 @@ class BivariateEGF:
             return BivariateEGF([[other * c if c else c for c in row] for row in self.coeffs])
         return NotImplemented
 
+    def __truediv__(self, n):
+        """The series divided by a nonzero int, exactly (see div_int)."""
+        if not isinstance(n, int):
+            return NotImplemented
+        return BivariateEGF([[div_int(c, n) if c else c for c in row] for row in self.coeffs])
+
     def pow_int(self, exponent):
         if exponent == 0:
             return BivariateEGF.const(1, self.order)
@@ -391,7 +404,7 @@ class BivariateEGF:
         result = BivariateEGF.const(1, self.order)
         power = BivariateEGF.const(1, self.order)  # self^k / k!
         for k in range(1, 2 * self.order + 1):
-            power = power * self * Fraction(1, k)
+            power = power * self / k
             if power.is_zero():
                 break
             result = result + power
@@ -408,7 +421,8 @@ class BivariateEGF:
             power = power * v
             if power.is_zero():
                 break
-            result = result + power * Fraction((-1) ** (k - 1), k)
+            term = power / k
+            result = (result + term) if k % 2 else (result - term)
         return result
 
     def substitute_y(self, u, order=None):
@@ -428,7 +442,7 @@ class BivariateEGF:
         upow = TaylorEGF.one(order)  # u^n / n!
         for n in range(min(self.order, order) + 1):
             if n:
-                upow = upow * u * Fraction(1, n)
+                upow = upow * u / n
                 if upow.is_zero():
                     break
             row = [self.coeffs[m][n] for m in range(order + 1)]

@@ -16,6 +16,7 @@ from implicitseries.algebra import (
     _pack,
     _unpack,
     as_coefficient,
+    div_int,
     fcode,
     fsym,
     invert_scalar,
@@ -188,6 +189,43 @@ def test_division():
     assert p / fsym(0, 1) == p * fsym(0, 1) ** -1
     with pytest.raises(NotInvertibleError):
         p / (fsym(0, 1) + 1)
+
+
+def test_div_int_keeps_divisible_ints_int():
+    for value, n in ((12, 3), (-12, 4), (0, 5), (7, 1), (3 ** 40, 3)):
+        q = div_int(value, n)
+        assert type(q) is int and q * n == value
+
+
+def test_div_int_gives_reduced_fractions_otherwise():
+    for value, n in ((7, 2), (-7, 2), (6, 4), (-9, 12), (1, 10 ** 30)):
+        q = div_int(value, n)
+        assert type(q) is Fraction and q == Fraction(value, n)
+        assert q.denominator > 1 and q.denominator == Fraction(value, n).denominator
+    for value in (Fraction(1, 2), Fraction(-5, 3), Fraction(9, 4)):
+        for n in (1, 2, 3, 6):
+            q = div_int(value, n)
+            assert q == value * Fraction(1, n) and type(q) is Fraction
+    # a Fraction of denominator 1, which sums in the kernel can leave
+    q = div_int(Fraction(6, 2) + Fraction(0), 3)
+    assert q == 1 and type(q) is int
+
+
+def test_div_int_on_polynomials():
+    p = 6 * fsym(1, 0) ** 3 - 4 * fsym(0, 1) ** -5 + Fraction(3, 2) * xsym(2) + 9
+    for n in (1, 2, 3, 4, 7):
+        q = div_int(p, n)
+        assert q == p * Fraction(1, n)
+        assert q._bound == p._bound == 5
+        assert all(_is_canonical(c) for c in q.terms().values()), q
+    ((_, c),) = div_int(6 * fsym(1, 0), 3).terms().items()
+    assert c == 2 and type(c) is int
+    assert div_int(ZERO, 4) == ZERO
+    assert p / 3 == div_int(p, 3) and p / -3 == -div_int(p, 3)
+    with pytest.raises(ZeroDivisionError):
+        ZERO / 0
+    with pytest.raises(ZeroDivisionError):
+        p / 0
 
 
 def test_scalar_mixing():

@@ -3,11 +3,13 @@
 import hashlib
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
 import implicitseries.cli as cli
-from implicitseries.algebra import LaurentPoly
+from implicitseries.algebra import ZERO, LaurentPoly, fsym, xsym
+from implicitseries.combinatorics import bell_partial
 from implicitseries.implicit import CoeffTable, builtin_table, expand
 
 
@@ -99,6 +101,9 @@ GOLDEN_OUTPUTS = [
      "e1f481df41a6a1167bd04cccf902e9e7be592f3ce4d4640bed322dbf4a7af661"),
     (("--expr", "log(1+x+y)*exp(x*y)+y", "-N", "8", "--method", "newton"),
      "4c32782f27d81b2ec4b6e4f5e6e5fef4ee9c0e95490a632d2d6d28bfb088a0bb"),
+    # the benchmark's symbolic size, with every power F(0,1)^-k through -19
+    (("--mode", "symbolic", "-N", "10", "--method", "direct"),
+     "46484e1e6941e5d71cd97aede21a95e8155fb76e3fdbc1900a00d40692b45296"),
 ]
 
 
@@ -107,6 +112,17 @@ def test_output_matches_golden_digest(capsys, args, digest):
     code, out, err = run(capsys, *args)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _to_obj_form(obj):
+    """obj with every LaurentPoly replaced by its `to_obj()` form."""
+    if isinstance(obj, LaurentPoly):
+        return obj.to_obj()
+    if isinstance(obj, dict):
+        return {k: _to_obj_form(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_to_obj_form(v) for v in obj]
+    return obj
 
 
 def _writer_payloads():
@@ -124,39 +140,44 @@ def _writer_payloads():
     zero = expand(CoeffTable.rational(2, {(0, 1): 1}), 2, "direct")
     yield cli._payload(zero, "rational", "direct", True)
     yield cli._payload(zero, "symbolic", "all", True)
+    # polynomials that the CLI never prints: X(i) factors, non-integral
+    # coefficients, constants and zero, alone and at several depths
+    bell = bell_partial(6, 3)
+    thirds = bell_partial(5, 2) * Fraction(1, 3) + fsym(0, 1) ** -2 * Fraction(-7, 2)
+    polys = [bell, thirds, xsym(1) ** -3 * fsym(2, 3),
+             LaurentPoly.const(5), LaurentPoly.const(Fraction(-2, 9)), ZERO]
+    yield from polys
+    yield polys
+    yield {"y": polys, "deeper": [{"p": thirds, "q": [ZERO, bell]}]}
 
 
 @pytest.mark.parametrize("obj", list(_writer_payloads()))
 def test_json_writer_matches_json_dumps(obj):
     parts = []
     cli._write_json(obj, "\n", parts.append)
-    assert "".join(parts) == json.dumps(obj, indent=2)
+    assert "".join(parts) == json.dumps(_to_obj_form(obj), indent=2)
 
 
-def test_symbolic_payload_is_serialized_one_coefficient_at_a_time(monkeypatch):
-    result = expand(CoeffTable.symbolic(5), 5, "direct")
-    index = {id(v): m for m, v in enumerate(result.y)}
-    real_to_obj = LaurentPoly.to_obj
-    written = []
-    built_at = {}  # coefficient index -> characters written before its to_obj
+def test_symbolic_payload_is_written_one_term_per_put(monkeypatch):
+    result = expand(CoeffTable.symbolic(8), 8, "direct")
+    y8 = result.y[-1]
+    reference = json.dumps(_to_obj_form(cli._payload(result, "symbolic", "all", True)),
+                           indent=2)
 
-    def to_obj(self):
-        built_at[index[id(self)]] = sum(map(len, written))
-        return real_to_obj(self)
+    def refuse(self):
+        raise AssertionError("to_obj was called")
 
-    monkeypatch.setattr(LaurentPoly, "to_obj", to_obj)
+    monkeypatch.setattr(LaurentPoly, "to_obj", refuse)
     body = cli._payload(result, "symbolic", "all", True)
-    assert built_at == {}
+    written = []
     cli._write_json(body, "\n", written.append)
-    text = "".join(written)
-    assert text == json.dumps(body, indent=2)
-    assert sorted(built_at) == list(range(5))
-    for m in range(1, 5):
-        # y_{m-1} is written out in full before y_m is built
-        parts = []
-        cli._write_json(real_to_obj(result.y[m - 1]), "\n    ", parts.append)
-        previous = "".join(parts)
-        assert text.index(previous) + len(previous) <= built_at[m]
+    assert "".join(written) == reference
+    # every term's text begins with its "c" key, so a put that carried
+    # two terms of y_8 would hold two of them
+    assert max(part.count('"c": ') for part in written) == 1
+    assert sum(part.count('"c": ') for part in written) == sum(
+        v.monomial_count() for v in result.y)
+    assert y8.monomial_count() == 732
 
 
 def test_check_flag(capsys):

@@ -78,6 +78,18 @@ def test_add_sub_neg_scalar():
     assert a * Fraction(1, 2) + a * Fraction(1, 2) == a
 
 
+def test_division_by_an_int_is_entrywise_and_exact():
+    t = TaylorEGF([6, Fraction(3, 4), 0, 4 * fsym(1, 0) + 2, -9])
+    b = BivariateEGF([[0, 6], [Fraction(1, 3), 6 * fsym(0, 2)]])
+    for n in (1, 2, 3, -4):
+        assert t / n == t * Fraction(1, n)
+        assert b / n == b * Fraction(1, n)
+    assert (t / 3).coeffs[0] == 2 and type((t / 3).coeffs[0]) is int
+    assert type((b / 2).coeffs[0][1]) is int
+    with pytest.raises(TypeError):
+        t / Fraction(1, 2)
+
+
 @pytest.mark.parametrize("factor", [
     0, 3, -1, Fraction(-2, 3), Fraction(3, 2), fsym(1, 1), -2 * fsym(0, 1) ** -1,
 ], ids=str)
