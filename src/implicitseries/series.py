@@ -13,6 +13,7 @@ binary operations demand equal orders and raise MixedOrderError otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 from .algebra import LaurentPoly, NotInvertibleError, as_coefficient, div_int, invert_scalar
@@ -28,6 +29,38 @@ class MixedOrderError(ValueError):
 
 class ConstantTermError(ValueError):
     """A constant term violates an operation's domain requirement."""
+
+
+def _exp_rows(f, g0):
+    """The rows G_0..G_N of G = exp F from the rows F_0..F_N of F and
+    g0 = exp F_0, by G' = F' G: G_{m+1} = sum_i C(m, i) F_{i+1} G_{m-i}.
+
+    A row is a scalar (a one-variable series) or a series in y (a
+    bivariate one); ' is the derivative in x.
+    """
+    g = [g0]
+    for m in range(len(f) - 1):
+        s = f[1] * g[m]
+        for i in range(1, m + 1):
+            if f[i + 1] and g[m - i]:
+                s = s + comb(m, i) * f[i + 1] * g[m - i]
+        g.append(s)
+    return g
+
+
+def _quotient_rows(f, r, inv0):
+    """The rows Q_0..Q_M of Q = R / F from the rows of F and R and
+    inv0 = 1 / F_0, by F Q = R: Q_m = inv0 (R_m - sum_{i>=1} C(m, i) F_i Q_{m-i}).
+    Rows are as in `_exp_rows`."""
+    q = []
+    for m in range(len(r)):
+        s = r[m]
+        for i in range(1, m + 1):
+            if f[i] and q[m - i]:
+                # the sign rides on the int, so no polynomial is negated
+                s = s + -comb(m, i) * f[i] * q[m - i]
+        q.append(inv0 * s)
+    return q
 
 
 class TaylorEGF:
@@ -131,6 +164,9 @@ class TaylorEGF:
     def is_zero(self):
         return not any(self.coeffs)
 
+    def __bool__(self):
+        return any(self.coeffs)
+
     def pow_int(self, exponent):
         """Integer power; negative exponents go through the reciprocal and
         need an invertible constant term."""
@@ -156,15 +192,7 @@ class TaylorEGF:
         except NotInvertibleError:
             raise NotInvertibleError(
                 f"constant term is not invertible: {self.coeffs[0]}") from None
-        a = self.coeffs
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            s = 0
-            for i in range(1, n + 1):
-                if a[i] and out[n - i]:
-                    s = s + comb(n, i) * a[i] * out[n - i]
-            out.append(as_coefficient(-(inv0 * s)))
-        return TaylorEGF(out)
+        return TaylorEGF(_quotient_rows(self.coeffs, [_ONE] + [_ZERO] * self.order, inv0))
 
     def coeff_of_power(self, exponent, n):
         """Coefficient n of self**exponent, exponent any integer."""
@@ -218,29 +246,13 @@ class TaylorEGF:
         """Series exponential; needs a zero constant term."""
         if self.coeffs[0]:
             raise ConstantTermError("exp needs a zero constant term")
-        result = TaylorEGF.one(self.order)
-        power = TaylorEGF.one(self.order)  # self^k / k!
-        for k in range(1, self.order + 1):
-            power = power * self / k
-            if power.is_zero():
-                break
-            result = result + power
-        return result
+        return TaylorEGF(_exp_rows(self.coeffs, _ONE))
 
     def log(self):
         """Series logarithm; needs constant term exactly 1."""
         if self.coeffs[0] != 1:
             raise ConstantTermError("log needs constant term 1")
-        v = self - TaylorEGF.one(self.order)
-        result = TaylorEGF.zero(self.order)
-        power = TaylorEGF.one(self.order)
-        for k in range(1, self.order + 1):
-            power = power * v
-            if power.is_zero():
-                break
-            term = power / k
-            result = (result + term) if k % 2 else (result - term)
-        return result
+        return TaylorEGF([_ZERO] + _quotient_rows(self.coeffs, self.coeffs[1:], _ONE))
 
 
 class BivariateEGF:
@@ -329,6 +341,10 @@ class BivariateEGF:
             self._check(other)
             N = self.order
             a, b = self.coeffs, other.coeffs
+            # exact and commutative: the outer loop skips zeros, so give it
+            # the operand with fewer nonzero entries
+            if sum(map(bool, chain.from_iterable(b))) < sum(map(bool, chain.from_iterable(a))):
+                a, b = b, a
             out = [[_ZERO] * (N + 1) for _ in range(N + 1)]
             for m1 in range(N + 1):
                 row = a[m1]
@@ -375,55 +391,34 @@ class BivariateEGF:
                 base = base * base
         return result
 
-    def reciprocal(self):
-        """Multiplicative inverse via the geometric sum in 1 - f/f(0,0).
+    # exp, log and the reciprocal run `_exp_rows` and `_quotient_rows` over
+    # the rows F_m(y) of the box, one series in y each: exp by G' = F'G,
+    # log by G' = F'/F and the reciprocal by FG = 1, ' being d/dx.  Row 0
+    # is the one-variable operation on F_0(y); its domain check on F(0, 0)
+    # runs before any recurrence and raises the bivariate operation's error.
 
-        The box is truncated in each variable separately, so terms up to
-        total degree 2*order matter and the sum runs that far.
-        """
-        try:
-            inv0 = invert_scalar(self.coeffs[0][0])
-        except NotInvertibleError:
-            raise NotInvertibleError(
-                f"constant term is not invertible: {self.coeffs[0][0]}") from None
-        rest = BivariateEGF.const(1, self.order) - self * inv0
-        result = BivariateEGF.const(1, self.order)
-        power = BivariateEGF.const(1, self.order)
-        for _ in range(2 * self.order):
-            power = power * rest
-            if power.is_zero():
-                break
-            result = result + power
-        return result * inv0
+    def _rows(self):
+        return [TaylorEGF(row) for row in self.coeffs]
+
+    def reciprocal(self):
+        """Multiplicative inverse; the constant term must be a unit."""
+        f = self._rows()
+        inv0 = f[0].reciprocal()
+        zero = TaylorEGF.zero(self.order)
+        r = [TaylorEGF.one(self.order)] + [zero] * self.order
+        return BivariateEGF([q.coeffs for q in _quotient_rows(f, r, inv0)])
 
     def exp(self):
-        """Exponential; needs a zero constant term.  Runs the defining sum
-        to total degree 2*order, which the square box requires."""
-        if self.coeffs[0][0]:
-            raise ConstantTermError("exp needs a zero constant term")
-        result = BivariateEGF.const(1, self.order)
-        power = BivariateEGF.const(1, self.order)  # self^k / k!
-        for k in range(1, 2 * self.order + 1):
-            power = power * self / k
-            if power.is_zero():
-                break
-            result = result + power
-        return result
+        """Exponential; needs a zero constant term."""
+        f = self._rows()
+        return BivariateEGF([g.coeffs for g in _exp_rows(f, f[0].exp())])
 
     def log(self):
         """Logarithm; needs constant term exactly 1."""
-        if self.coeffs[0][0] != 1:
-            raise ConstantTermError("log needs constant term 1")
-        v = self - BivariateEGF.const(1, self.order)
-        result = BivariateEGF.zero(self.order)
-        power = BivariateEGF.const(1, self.order)
-        for k in range(1, 2 * self.order + 1):
-            power = power * v
-            if power.is_zero():
-                break
-            term = power / k
-            result = (result + term) if k % 2 else (result - term)
-        return result
+        f = self._rows()
+        g0 = f[0].log()
+        d = _quotient_rows(f, f[1:], f[0].reciprocal())
+        return BivariateEGF([g.coeffs for g in [g0, *d]])
 
     def substitute_y(self, u, order=None):
         """The one-variable series f(x, u(x)); u must kill its constant term.

@@ -351,6 +351,17 @@ def test_status_1_domain_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("source, message", [
+    ("exp(1+x)+y", "exp needs a zero constant term"),
+    ("log(2+x)+y", "log needs constant term 1"),
+    ("1/(x)+y", "constant term is not invertible: 0"),
+    ("(x+y)^-1+y", "constant term is not invertible: 0"),
+])
+def test_status_1_series_domain_errors(capsys, source, message):
+    code, out, err = run(capsys, "--expr", source, "-N", "4")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_status_1_usage_errors(capsys):
     assert run(capsys, "--builtin", "geometric")[0] == 1           # no order
     assert run(capsys, "--builtin", "geometric", "-N", "0")[0] == 1

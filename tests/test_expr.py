@@ -29,7 +29,7 @@ from implicitseries.expr import (
     tokenize,
 )
 from implicitseries.implicit import NotExpandableError, expand
-from implicitseries.series import ConstantTermError
+from implicitseries.series import BivariateEGF, ConstantTermError
 
 
 # -- lexing -----------------------------------------------------------------
@@ -310,6 +310,24 @@ def test_division_and_log_expressions():
     t2 = table_from_expr("log(1+y) - x", 4)
     # y = exp(x) - 1, EGF coefficients all 1
     assert expand(t2, 4, "newton").y == [1, 1, 1, 1]
+
+
+def test_exp_log_and_reciprocal_make_no_box_products(monkeypatch):
+    # only the user's x*y and the outer * multiply two boxes; exp, log and
+    # division solve their recurrences row by row
+    calls = []
+    box_mul = BivariateEGF.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return box_mul(a, b)
+
+    monkeypatch.setattr(BivariateEGF, "__mul__", counted)
+    table_from_expr("log(1+x+y)*exp(x*y)+y", 12)
+    assert len(calls) == 2
+    del calls[:]
+    table_from_expr("x/(1-x-y)+y*exp(x+y)", 12)
+    assert len(calls) == 2
 
 
 def test_not_expandable_expressions():

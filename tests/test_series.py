@@ -11,7 +11,7 @@ from math import factorial
 
 import pytest
 
-from implicitseries.algebra import NotInvertibleError, as_coefficient, fsym
+from implicitseries.algebra import NotInvertibleError, as_coefficient, fsym, invert_scalar
 from implicitseries.series import (
     BivariateEGF,
     ConstantTermError,
@@ -364,6 +364,103 @@ def test_bivariate_domain_errors():
         BivariateEGF.const(2, 3).log()
     with pytest.raises(MixedOrderError):
         BivariateEGF.var_x(3) + BivariateEGF.var_x(2)
+
+
+# -- exp, log and reciprocal against their defining sums --------------------
+
+
+def _power_sum_exp(f, one):
+    """exp f as the sum of f^k / k!; f kills its constant term, so the
+    powers vanish after finitely many steps (k <= 2 * order for a box)."""
+    result = power = one
+    k = 1
+    while True:
+        power = power * f / k
+        if power.is_zero():
+            return result
+        result = result + power
+        k += 1
+
+
+def _power_sum_log(f, one):
+    """log f as the sum of (-1)^(k+1) (f - 1)^k / k."""
+    v = f - one
+    result = one - one
+    power = one
+    k = 1
+    while True:
+        power = power * v
+        if power.is_zero():
+            return result
+        result = (result + power / k) if k % 2 else (result - power / k)
+        k += 1
+
+
+def _geometric_reciprocal(f, one, c0):
+    """1 / f as inv0 * sum (1 - inv0 f)^k, inv0 = 1 / c0."""
+    inv0 = invert_scalar(c0)
+    rest = one - f * inv0
+    result = power = one
+    while True:
+        power = power * rest
+        if power.is_zero():
+            return result * inv0
+        result = result + power
+
+
+def _canon(series):
+    # type and value of every entry: a result must be equal and canonical
+    rows = series.coeffs if isinstance(series, BivariateEGF) else [series.coeffs]
+    return [(type(c).__name__, c) for row in rows for c in row]
+
+
+def _random_series(rng, order, bivariate, constant):
+    if bivariate:
+        box = _rand_box(rng, order)
+        box[0][0] = constant
+        return BivariateEGF(box), BivariateEGF.const(1, order)
+    coeffs = _rand_coeffs(rng, order)
+    coeffs[0] = constant
+    return TaylorEGF(coeffs), TaylorEGF.one(order)
+
+
+@pytest.mark.parametrize("bivariate", [False, True], ids=["taylor", "bivariate"])
+def test_exp_log_reciprocal_match_their_defining_sums(bivariate):
+    rng = random.Random(97)
+    for order in range(8):
+        for _ in range(3):
+            f, one = _random_series(rng, order, bivariate, Fraction(0))
+            assert _canon(f.exp()) == _canon(_power_sum_exp(f, one))
+            g, one = _random_series(rng, order, bivariate, Fraction(1))
+            assert _canon(g.log()) == _canon(_power_sum_log(g, one))
+            c0 = Fraction(rng.choice([-3, -1, 2, 5]), rng.randrange(1, 4))
+            h, one = _random_series(rng, order, bivariate, c0)
+            assert _canon(h.reciprocal()) == _canon(_geometric_reciprocal(h, one, c0))
+
+
+def test_bivariate_reciprocal_with_a_unit_monomial_constant():
+    rng = random.Random(101)
+    for order in range(6):
+        c0 = Fraction(-2, 3) * fsym(0, 1) ** 2
+        f, one = _random_series(rng, order, True, c0)
+        if order:
+            f = f + BivariateEGF.var_y(order) * fsym(1, 1)
+        got = f.reciprocal()
+        assert _canon(got) == _canon(_geometric_reciprocal(f, one, c0))
+        assert f * got == one
+
+
+def test_bivariate_mul_is_commutative_on_sparse_and_dense_operands():
+    rng = random.Random(19)
+    for _ in range(12):
+        order = rng.randrange(1, 6)
+        sparse = _rand_box(rng, order, zero_chance=0.9)
+        dense = _rand_box(rng, order, zero_chance=0.0)
+        want = _box_from_plain(
+            _box_mul_plain(_box_to_plain(sparse), _box_to_plain(dense), order))
+        a, b = BivariateEGF(sparse), BivariateEGF(dense)
+        assert [list(r) for r in (a * b).coeffs] == want
+        assert [list(r) for r in (b * a).coeffs] == want
 
 
 def _subst_plain(box, u, order):
