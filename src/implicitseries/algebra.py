@@ -3,13 +3,12 @@
 Scalars are exact and canonical: an ``int`` when the value is integral,
 otherwise a reduced ``fractions.Fraction`` with positive denominator.  Values
 are brought into that form where they enter the ring or are scaled
-(`as_coefficient`, `invert_scalar`, `LaurentPoly.const`, scalar products,
-`div_int`).
-The term kernel (`mul_terms`, `add_terms`) makes no per-term check: int
-coefficients stay ints through it, so all of the symbolic expansion is plain
-``int`` arithmetic, while a product or sum of non-integral Fractions that
-happens to be integral stays a Fraction of denominator 1, which equals and
-hashes like the int.
+(`as_coefficient`, `invert_scalar`, `LaurentPoly.const`, `dot`, `div_int`).
+The term kernel (`addmul_terms`, `addscaled_terms`) makes no per-term
+check: int coefficients stay ints through it, so all of the symbolic expansion is plain ``int``
+arithmetic, while a sum of non-integral Fractions that happens to be
+integral stays a Fraction of denominator 1, which equals and hashes like
+the int.
 
 Symbolic values are :class:`LaurentPoly`: sparse multivariate polynomials
 with such coefficients over two families of indeterminates,
@@ -33,6 +32,7 @@ strictly increasing and no zero exponents.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
 
 
@@ -84,12 +84,6 @@ def code_name(code: int) -> str:
     if d[0] == "X":
         return f"X{d[1]}"
     return f"F({d[1]},{d[2]})"
-
-
-def mon_sort_key(mon):
-    """Canonical monomial order: total degree by absolute exponent value,
-    then the flat (code, exponent) tuple itself."""
-    return (sum(abs(e) for e in mon[1::2]), mon)
 
 
 # -- packed monomials ----------------------------------------------------
@@ -158,10 +152,13 @@ def _pack(factors):
     return key, bound
 
 
-def _unpack(key: int) -> tuple:
-    """The flat (code, exponent, ...) tuple of a packed key."""
+def _unpack(key: int, codes=None) -> tuple:
+    """The flat (code, exponent, ...) tuple of a packed key; codes caches
+    the code of each slot for a caller that decodes many keys."""
     if not key:
         return ()
+    if codes is None:
+        codes = {}
     # adding 2**15 to every slot the key reaches makes every digit
     # nonnegative; xor with the same bias leaves the zero slots zero
     bias = int.from_bytes(_HALF_DIGIT * (key.bit_length() // _SLOT_BITS + 1), "little")
@@ -171,9 +168,12 @@ def _unpack(key: int) -> tuple:
         shift = (z.bit_length() - 1) & -_SLOT_BITS
         d = z >> shift
         z ^= d << shift
-        pairs.append((_slot_code(shift // _SLOT_BITS), (d ^ _SLOT_HALF) - _SLOT_HALF))
+        code = codes.get(shift)
+        if code is None:
+            code = codes[shift] = _slot_code(shift // _SLOT_BITS)
+        pairs.append((code, (d ^ _SLOT_HALF) - _SLOT_HALF))
     pairs.sort()
-    return tuple(x for pair in pairs for x in pair)
+    return tuple(chain.from_iterable(pairs))
 
 
 def _canonical(value):
@@ -191,13 +191,18 @@ def _canonical(value):
 # canonical coefficients; the key 0 is the unit monomial.
 
 
-def mul_terms(a, b):
-    """Exact product of two term dicts, with like-monomial accumulation."""
+def addmul_terms(out, k, a, b):
+    """out += k * a * b in place, for term dicts out, a and b and an int
+    k != 0; a sum that cancels is dropped from out."""
     if len(a) > len(b):
         a, b = b, a
-    out = {}
     get = out.get
     for ma, ca in a.items():
+        if k != 1:
+            ca = k * ca
+        if not ma:
+            addscaled_terms(out, ca, b)
+            continue
         for mb, cb in b.items():
             m = ma + mb
             c = get(m)
@@ -209,34 +214,58 @@ def mul_terms(a, b):
                     out[m] = c
                 else:
                     del out[m]
-    return out
 
 
-def add_terms(a, b):
-    """Sum of two term dicts; zero coefficients are dropped."""
-    out = dict(a)
+def addscaled_terms(out, c, b):
+    """out += c * b in place, for a term dict b and a nonzero scalar c; the
+    keys of b are shared, and so are its coefficients when c is 1."""
     get = out.get
-    for m, c in b.items():
+    for m, cb in b.items():
+        if c != 1:
+            cb = c * cb
         prev = get(m)
         if prev is None:
-            out[m] = c
+            out[m] = cb
         else:
-            s = prev + c
-            if s:
-                out[m] = s
+            prev = prev + cb
+            if prev:
+                out[m] = prev
             else:
                 del out[m]
-    return out
 
 
-def scale_terms(a, c):
-    """Term dict scaled by a nonzero scalar; the products are made
-    canonical, since an int factor can make a Fraction integral."""
+def dot(triples):
+    """Exact sum of k * a * b over triples (int k, a, b), a and b scalars
+    or LaurentPoly, every product added into one term dict and made
+    canonical at the end: the value and type of ``s = 0; s = s + k * a * b``,
+    canonical (a LaurentPoly if any operand is one, zero included).  Raises
+    OverflowError on the same exponent bound as __mul__."""
     out = {}
-    for m, cm in a.items():
-        v = c * cm
-        out[m] = v if type(v) is int else _canonical(v)
-    return out
+    s = 0
+    bound = -1  # stays negative while no LaurentPoly has been met
+    for k, a, b in triples:
+        if type(a) is not LaurentPoly:
+            if type(b) is not LaurentPoly:
+                s = s + k * a * b
+                continue
+            a, b = b, a
+        if type(b) is LaurentPoly:
+            pair, b = a._bound + b._bound, b._terms
+        else:
+            pair, b = a._bound, {0: b} if b else {}
+        if pair >= _EXP_LIMIT:
+            raise OverflowError("monomial exponent out of supported range")
+        if k:
+            addmul_terms(out, k, a._terms, b)
+        bound = max(bound, pair)
+    if bound < 0:
+        return _canonical(s)
+    if s:
+        addscaled_terms(out, 1, {0: s})
+    for m, c in out.items():
+        if type(c) is not int:
+            out[m] = _canonical(c)
+    return LaurentPoly._raw(out, bound)
 
 
 def div_terms(a, n):
@@ -296,8 +325,14 @@ class LaurentPoly:
         return {_unpack(m): c for m, c in self._terms.items()}
 
     def sorted_terms(self):
-        return sorted(((_unpack(m), c) for m, c in self._terms.items()),
-                      key=lambda kv: mon_sort_key(kv[0]))
+        """(monomial, coefficient) pairs by total |degree|, then monomial."""
+        codes = {}
+        keyed = []
+        for key, c in self._terms.items():
+            mon = _unpack(key, codes)
+            keyed.append((sum(map(abs, mon[1::2])), mon, c))
+        keyed.sort()
+        return [(mon, c) for _, mon, c in keyed]
 
     def monomial_count(self) -> int:
         return len(self._terms)
@@ -361,18 +396,14 @@ class LaurentPoly:
             self._hash = h
         return h
 
-    def _coerce(self, other):
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly.const(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            other = LaurentPoly.const(other)
+        elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        return LaurentPoly._raw(add_terms(self._terms, o._terms), max(self._bound, o._bound))
+        out = dict(self._terms)
+        addscaled_terms(out, 1, other._terms)
+        return LaurentPoly._raw(out, max(self._bound, other._bound))
 
     __radd__ = __add__
 
@@ -380,27 +411,18 @@ class LaurentPoly:
         return LaurentPoly._raw({m: -c for m, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if isinstance(other, (LaurentPoly, int, Fraction)):
+            return self + -other
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        if isinstance(other, (int, Fraction)):
+            return -self + other
+        return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            bound = self._bound + other._bound
-            if bound >= _EXP_LIMIT:
-                raise OverflowError("monomial exponent out of supported range")
-            return LaurentPoly._raw(mul_terms(self._terms, other._terms), bound)
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return _ZERO
-            return LaurentPoly._raw(scale_terms(self._terms, other), self._bound)
+        if isinstance(other, (LaurentPoly, int, Fraction)):
+            return dot(((1, self, other),))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -418,15 +440,8 @@ class LaurentPoly:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return self.unit_inverse() ** (-k)
-        result = _ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+            return self.unit_inverse() ** -k
+        return power(self, k) if k else _ONE
 
     # -- evaluation ------------------------------------------------------
 
@@ -513,19 +528,10 @@ def _normalize_raw(terms):
     for mon, c in items:
         mon, b = _pack(zip(mon[::2], mon[1::2]))
         c = _canonical(c)
-        if not c:
-            continue
-        bound = max(bound, b)
-        prev = acc.get(mon)
-        if prev is None:
-            acc[mon] = c
-        else:
-            s = _canonical(prev + c)
-            if s:
-                acc[mon] = s
-            else:
-                del acc[mon]
-    return acc, bound
+        if c:
+            bound = max(bound, b)
+            addscaled_terms(acc, 1, {mon: c})
+    return {m: _canonical(c) for m, c in acc.items()}, bound
 
 
 _ZERO = LaurentPoly._raw({}, 0)
@@ -578,6 +584,18 @@ def invert_scalar(c):
     if not c:
         raise NotInvertibleError("zero has no inverse")
     return _canonical(1 / c)
+
+
+def power(x, k):
+    """x ** k by repeated squaring, for k >= 1 and x a LaurentPoly or series."""
+    result = None
+    while k:
+        if k & 1:
+            result = x if result is None else result * x
+        k >>= 1
+        if k:
+            x = x * x
+    return result
 
 
 def div_int(value, n):

@@ -279,8 +279,7 @@ def _payload(result, mode, method_label, count):
     else:
         body = {
             "order": result.order,
-            "y": [v if isinstance(v, LaurentPoly) else LaurentPoly.const(v)
-                  for v in result.y],
+            "y": result.y,
         }
     if count:
         body["monomials"] = [monomial_count(v) for v in result.y]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from .algebra import ONE, ZERO, LaurentPoly, xcode, xsym
+from .algebra import ONE, ZERO, LaurentPoly, dot, xcode, xsym
 
 
 def partition_sequences(n_elements: int, n_blocks: int, length: int):
@@ -132,13 +132,8 @@ def _bell_eval(n, k, args, memo):
     hit = memo.get((n, k))
     if hit is not None:
         return hit
-    total = 0
-    for i in range(1, n - k + 2):
-        x = args[i - 1]
-        if x:
-            sub = _bell_eval(n - i, k - 1, args, memo)
-            if sub:
-                total = total + comb(n - 1, i - 1) * x * sub
+    total = dot([(comb(n - 1, i - 1), x, _bell_eval(n - i, k - 1, args, memo))
+                 for i, x in enumerate(args[:n - k + 1], 1) if x])
     memo[(n, k)] = total
     return total
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from math import comb
 
 from .algebra import (
@@ -31,6 +32,7 @@ from .algebra import (
     as_coefficient,
     decode,
     div_int,
+    dot,
     fsym,
     invert_scalar,
 )
@@ -243,21 +245,14 @@ def y_coeff_direct(table, m):
     # B(n, k) at column 0 is the same for every m, so its memo lives on
     # the table
     bell_memo = table._cache.setdefault("bell", {})
-    total = 0
+    terms = []
     for n in range(1, m + 1):
-        inner = 0
+        c = comb(m, n)
         for k in range(1, n + 1):
             a = inverse_taylor_coeff(table, k, m - n)
-            if not a:
-                continue
-            b = bell_eval(n, k, args, bell_memo)
-            if not b:
-                continue
-            term = a * b
-            inner = (inner - term) if k % 2 else (inner + term)
-        if inner:
-            total = total + comb(m, n) * inner
-    return as_coefficient(total)
+            if a:
+                terms.append((-c if k % 2 else c, a, bell_eval(n, k, args, bell_memo)))
+    return _in_mode(table, dot(terms))
 
 
 @dataclass
@@ -300,6 +295,13 @@ def _expansion_order(table, order):
     return order
 
 
+def _in_mode(table, value):
+    """A solution coefficient in the table's mode; symbolic zeros included."""
+    if table.mode == "symbolic" and not isinstance(value, LaurentPoly):
+        return LaurentPoly.const(value)
+    return value
+
+
 def _diag(value, t0):
     return {"monomials": monomial_count(value), "seconds": time.perf_counter() - t0}
 
@@ -335,19 +337,24 @@ def _inverse_coeff_series(table, k, order):
     the result may run past x^order.  The order need not be the table's:
     compose asks for g_k only through x^(N-k), because it multiplies g_k
     by f(x,0)^k, whose valuation is k, so no coefficient of g_k above
-    x^(N-k) reaches x^N."""
+    x^(N-k) reaches x^N.  Each coefficient is one `dot` per batch of 32
+    partitions, so that no more products than that are held at once."""
     key = ("invseries", k)
     hit = table._cache.get(key)
     if hit is not None and hit.order >= order:
         return hit
-    acc = TaylorEGF.zero(order)
-    for r, weight in inverse_partition_terms(k):
-        prod = _column_power(table, 1, r[0] - 2 * k + 1, order).truncate(order)
-        for nu in range(2, k + 1):
-            if r[nu - 1]:
-                prod = prod * _column_power(table, nu, r[nu - 1], order).truncate(order)
-        acc = acc + prod * weight
-    table._cache[key] = acc
+    acc = [_ZERO] * (order + 1)
+    terms = inverse_partition_terms(k)
+    while batch := list(islice(terms, 32)):
+        prods = []
+        for r, weight in batch:
+            prod = _column_power(table, 1, r[0] - 2 * k + 1, order).truncate(order)
+            for nu in range(2, k + 1):
+                if r[nu - 1]:
+                    prod = prod * _column_power(table, nu, r[nu - 1], order).truncate(order)
+            prods.append((weight, prod.coeffs))
+        acc = [dot([(1, 1, acc[j])] + [(w, 1, p[j]) for w, p in prods]) for j in range(order + 1)]
+    table._cache[key] = acc = TaylorEGF(acc)
     return acc
 
 
@@ -367,17 +374,16 @@ def expand_compose(table, order=None):
     t0 = time.perf_counter()
     phi0 = column_series(table, 0, order)
     total = TaylorEGF.zero(order)
-    power = TaylorEGF.one(order)  # f(x,0)^k / k!, divided one k at a time
+    power = TaylorEGF.one(order)  # (-f(x,0))^k / k!, divided one -k at a time
     for k in range(1, order + 1):
-        power = power * phi0 / k
+        power = power * phi0 / -k
         if power.is_zero():
             break
         g = _inverse_coeff_series(table, k, order - k).truncate(order - k)
-        term = TaylorEGF(g.coeffs, order=order) * power
-        total = (total - term) if k % 2 else (total + term)
+        total = total + TaylorEGF(g.coeffs, order=order) * power
     if total.coeffs[0]:
         raise InvariantError("composition produced a nonzero constant term")
-    ys = list(total.coeffs[1:])
+    ys = [_in_mode(table, ym) for ym in total.coeffs[1:]]
     diags = [{"monomials": monomial_count(ym), "seconds": 0.0} for ym in ys]
     if diags:
         diags[-1]["seconds"] = time.perf_counter() - t0
@@ -409,6 +415,7 @@ def expand_newton(table, order=None):
     order = _expansion_order(table, order)
     f = as_bivariate(table, order)
     inv01 = invert_scalar(table.entry(0, 1))
+    fused = table.mode == "symbolic"  # rational sums keep the plain loop
     # pw[n][j]: coefficient j of u^n/n!, zero below j = n; pw[1] is u
     pw = [[1] + [_ZERO] * order] + [[_ZERO] * n for n in range(1, order + 1)]
     u = pw[1]
@@ -417,18 +424,26 @@ def expand_newton(table, order=None):
         t0 = time.perf_counter()
         for n in range(2, m + 1):
             prev = pw[n - 1]
-            s = 0
-            for i in range(1, m - n + 2):
-                if u[i] and prev[m - i]:
-                    s = s + comb(m, i) * u[i] * prev[m - i]
+            if fused:
+                s = dot([(comb(m, i), u[i], prev[m - i]) for i in range(1, m - n + 2)
+                         if u[i] and prev[m - i]])
+            else:
+                s = 0
+                for i in range(1, m - n + 2):
+                    if u[i] and prev[m - i]:
+                        s = s + comb(m, i) * u[i] * prev[m - i]
             pw[n].append(div_int(s, n))
         u.append(_ZERO)  # u_m is unknown yet, so f(0,1) u_m drops out
-        s = 0
-        for k in range(m + 1):
-            row = f.coeffs[k]
-            for n in range(m - k + 1):
-                if row[n] and pw[n][m - k]:
-                    s = s + comb(m, k) * row[n] * pw[n][m - k]
+        if fused:
+            s = dot([(comb(m, k), f.coeffs[k][n], pw[n][m - k]) for k in range(m + 1)
+                     for n in range(m - k + 1) if f.coeffs[k][n] and pw[n][m - k]])
+        else:
+            s = 0
+            for k in range(m + 1):
+                row = f.coeffs[k]
+                for n in range(m - k + 1):
+                    if row[n] and pw[n][m - k]:
+                        s = s + comb(m, k) * row[n] * pw[n][m - k]
         ym = as_coefficient(-(s * inv01))
         u[m] = ym
         ys.append(ym)

@@ -16,7 +16,8 @@ from fractions import Fraction
 from itertools import chain
 from math import comb
 
-from .algebra import LaurentPoly, NotInvertibleError, as_coefficient, div_int, invert_scalar
+from .algebra import (LaurentPoly, NotInvertibleError, as_coefficient, div_int, dot,
+                      invert_scalar, power)
 from .combinatorics import bell_eval
 
 _ZERO = 0
@@ -36,10 +37,16 @@ def _exp_rows(f, g0):
     g0 = exp F_0, by G' = F' G: G_{m+1} = sum_i C(m, i) F_{i+1} G_{m-i}.
 
     A row is a scalar (a one-variable series) or a series in y (a
-    bivariate one); ' is the derivative in x.
+    bivariate one); ' is the derivative in x.  Rows that hold a LaurentPoly
+    are summed by the fused `dot`, scalar and series rows by the plain loop.
     """
     g = [g0]
+    fused = LaurentPoly in map(type, f)
     for m in range(len(f) - 1):
+        if fused:
+            g.append(dot([(comb(m, i), f[i + 1], g[m - i]) for i in range(m + 1)
+                          if f[i + 1] and g[m - i]]))
+            continue
         s = f[1] * g[m]
         for i in range(1, m + 1):
             if f[i + 1] and g[m - i]:
@@ -53,7 +60,14 @@ def _quotient_rows(f, r, inv0):
     inv0 = 1 / F_0, by F Q = R: Q_m = inv0 (R_m - sum_{i>=1} C(m, i) F_i Q_{m-i}).
     Rows are as in `_exp_rows`."""
     q = []
+    fused = LaurentPoly in map(type, f)
+    if fused:
+        f = [inv0 * c for c in f]  # inv0 rides on the rows, so Q_m is one dot
     for m in range(len(r)):
+        if fused:
+            q.append(dot([(1, inv0, r[m])] + [(-comb(m, i), f[i], q[m - i])
+                                              for i in range(1, m + 1) if f[i] and q[m - i]]))
+            continue
         s = r[m]
         for i in range(1, m + 1):
             if f[i] and q[m - i]:
@@ -128,8 +142,7 @@ class TaylorEGF:
     def __sub__(self, other):
         if not isinstance(other, TaylorEGF):
             return NotImplemented
-        self._check(other)
-        return TaylorEGF([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + -other
 
     def __neg__(self):
         return TaylorEGF([-a for a in self.coeffs])
@@ -138,6 +151,11 @@ class TaylorEGF:
         if isinstance(other, TaylorEGF):
             self._check(other)
             a, b = self.coeffs, other.coeffs
+            # the first nonzero coefficient tells the ring: sums of
+            # polynomials take the fused dot, sums of numbers the plain loop
+            if type(next(filter(None, chain(a, b)), 0)) is LaurentPoly:
+                return TaylorEGF([dot([(comb(n, i), a[i], b[n - i]) for i in range(n + 1)
+                                       if a[i] and b[n - i]]) for n in range(self.order + 1)])
             out = []
             for n in range(self.order + 1):
                 s = 0
@@ -150,10 +168,7 @@ class TaylorEGF:
             return TaylorEGF([c * other if c else c for c in self.coeffs])
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            return TaylorEGF([other * c if c else c for c in self.coeffs])
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __truediv__(self, n):
         """The series divided by a nonzero int, exactly (see div_int)."""
@@ -170,20 +185,9 @@ class TaylorEGF:
     def pow_int(self, exponent):
         """Integer power; negative exponents go through the reciprocal and
         need an invertible constant term."""
-        if exponent == 0:
-            return TaylorEGF.one(self.order)
         if exponent < 0:
-            return self.reciprocal().pow_int(-exponent)
-        result = None
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+            return power(self.reciprocal(), -exponent)
+        return power(self, exponent) if exponent else TaylorEGF.one(self.order)
 
     def reciprocal(self):
         """Multiplicative inverse; the constant term must be a unit."""
@@ -207,16 +211,10 @@ class TaylorEGF:
             raise ConstantTermError("composition needs a zero inner constant term")
         args = inner.coeffs[1:]
         bell_memo = {}
-        out = [self.coeffs[0]]
-        for n in range(1, self.order + 1):
-            s = 0
-            for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    b = bell_eval(n, k, args, bell_memo)
-                    if b:
-                        s = s + self.coeffs[k] * b
-            out.append(s)
-        return TaylorEGF(out)
+        return TaylorEGF([self.coeffs[0]] + [
+            dot([(1, self.coeffs[k], bell_eval(n, k, args, bell_memo))
+                 for k in range(1, n + 1) if self.coeffs[k]])
+            for n in range(1, self.order + 1)])
 
     def reversion(self):
         """Compositional inverse h, h(self(x)) = x through the order.
@@ -233,13 +231,8 @@ class TaylorEGF:
         bell_memo = {}
         h = [_ZERO, inv1]
         for n in range(2, self.order + 1):
-            s = 0
-            for k in range(1, n):
-                if h[k]:
-                    b = bell_eval(n, k, args, bell_memo)
-                    if b:
-                        s = s + h[k] * b
-            h.append(as_coefficient(-(s * inv1 ** n)))
+            s = dot([(-1, h[k], bell_eval(n, k, args, bell_memo)) for k in range(1, n) if h[k]])
+            h.append(as_coefficient(s * inv1 ** n))
         return TaylorEGF(h)
 
     def exp(self):
@@ -327,11 +320,7 @@ class BivariateEGF:
     def __sub__(self, other):
         if not isinstance(other, BivariateEGF):
             return NotImplemented
-        self._check(other)
-        return BivariateEGF([
-            [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.coeffs, other.coeffs)
-        ])
+        return self + -other
 
     def __neg__(self):
         return BivariateEGF([[-c for c in row] for row in self.coeffs])
@@ -364,10 +353,7 @@ class BivariateEGF:
             return BivariateEGF([[c * other if c else c for c in row] for row in self.coeffs])
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            return BivariateEGF([[other * c if c else c for c in row] for row in self.coeffs])
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __truediv__(self, n):
         """The series divided by a nonzero int, exactly (see div_int)."""
@@ -376,20 +362,9 @@ class BivariateEGF:
         return BivariateEGF([[div_int(c, n) if c else c for c in row] for row in self.coeffs])
 
     def pow_int(self, exponent):
-        if exponent == 0:
-            return BivariateEGF.const(1, self.order)
         if exponent < 0:
-            return self.reciprocal().pow_int(-exponent)
-        result = None
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+            return power(self.reciprocal(), -exponent)
+        return power(self, exponent) if exponent else BivariateEGF.const(1, self.order)
 
     # exp, log and the reciprocal run `_exp_rows` and `_quotient_rows` over
     # the rows F_m(y) of the box, one series in y each: exp by G' = F'G,

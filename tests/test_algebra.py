@@ -17,6 +17,7 @@ from implicitseries.algebra import (
     _unpack,
     as_coefficient,
     div_int,
+    dot,
     fcode,
     fsym,
     invert_scalar,
@@ -271,6 +272,14 @@ def test_sorted_terms_order():
     assert degs == sorted(degs)
 
 
+def test_sorted_terms_is_the_canonical_order_of_the_decoded_terms():
+    rng = random.Random(13)
+    for _ in range(200):
+        p = _random_poly(rng) * _random_poly(rng) + _random_poly(rng)
+        want = sorted(p.terms().items(), key=lambda kv: (sum(abs(e) for e in kv[0][1::2]), kv[0]))
+        assert p.sorted_terms() == want
+
+
 def test_to_obj_shape():
     p = -(fsym(0, 1) ** -3) * fsym(1, 0) ** 2 + Fraction(1, 2)
     obj = p.to_obj()
@@ -497,3 +506,80 @@ def test_scaling_and_inverse_keep_coefficients_canonical():
     assert c == Fraction(1, 3) and type(c) is Fraction
     value = poly_eval(fsym(1, 0) * fsym(0, 1) ** -1, {F10: Fraction(3, 2), F01: Fraction(1, 2)})
     assert value == 3 and type(value) is int
+
+
+# -- the fused multiply-accumulate ---------------------------------------
+
+
+def _unfused(triples):
+    s = 0
+    for k, a, b in triples:
+        s = s + k * a * b
+    return s
+
+
+def _random_operand(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randrange(-6, 7)
+    if kind == 1:
+        return Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
+    return _random_poly(rng)  # Fraction coefficients, some of them zero polys
+
+
+def _assert_same_as_unfused(triples):
+    got = dot(triples)
+    want = as_coefficient(_unfused(triples))  # the loop may leave Fraction(n, 1)
+    assert got == want
+    assert type(got) is type(want)
+    if isinstance(got, LaurentPoly):
+        assert all(_is_canonical(c) for c in got.terms().values())
+        assert all(c != 0 for c in got.terms().values())
+    else:
+        assert _is_canonical(got)
+    return got
+
+
+def test_dot_equals_the_unfused_loop_on_random_triples():
+    rng = random.Random(10)
+    for _ in range(300):
+        triples = [(rng.choice([-3, -1, 0, 1, 2, 5]), _random_operand(rng), _random_operand(rng))
+                   for _ in range(rng.randrange(0, 7))]
+        _assert_same_as_unfused(triples)
+
+
+def test_dot_of_a_sum_that_cancels_is_a_zero_polynomial():
+    rng = random.Random(11)
+    for _ in range(100):
+        triples = [(rng.choice([-2, 1, 3]), _random_poly(rng), _random_operand(rng))
+                   for _ in range(rng.randrange(1, 5))]
+        triples += [(-k, a, b) for k, a, b in reversed(triples)]
+        got = _assert_same_as_unfused(triples)
+        assert type(got) is LaurentPoly and got.is_zero()
+
+
+def test_dot_on_scalars_and_on_nothing():
+    assert dot([]) == 0 and type(dot([])) is int
+    got = _assert_same_as_unfused([(1, Fraction(1, 2), 3), (3, Fraction(1, 2), 1)])
+    assert got == 3 and type(got) is int
+    assert _assert_same_as_unfused([(2, Fraction(1, 3), 1), (1, 1, 5)]) == Fraction(17, 3)
+    assert _assert_same_as_unfused([(0, 7, 7), (-1, 2, 3)]) == -6
+    # a zero polynomial still makes the result a polynomial
+    assert type(_assert_same_as_unfused([(1, 2, 3), (1, ZERO, 4)])) is LaurentPoly
+
+
+def test_dot_raises_at_the_same_exponent_bound_as_mul():
+    top = poly_normalize([((X2, _EXP_LIMIT - 1), 1)])
+    low = poly_normalize([((F01, -(_EXP_LIMIT - 1)), 1)])
+    for a, b in ((top, xsym(2)), (top, fsym(1, 0)), (low, fsym(0, 1) ** -1)):
+        with pytest.raises(OverflowError):
+            a * b
+        with pytest.raises(OverflowError):
+            dot([(1, 2, 3), (3, a, b)])
+        with pytest.raises(OverflowError):
+            dot([(1, b, a)])
+    # the bound of a scalar is 0, and right below the limit nothing raises
+    h = _EXP_LIMIT // 2
+    a = poly_normalize([((F01, -h), 1), ((X2, h), 1)])
+    b = poly_normalize([((F01, 1 - h), 2), ((X2, h - 1), 1)])
+    assert dot([(1, a, b), (2, top, 5)]) == a * b + 10 * top

@@ -453,6 +453,45 @@ def test_newton_handles_symbolic_tables():
     assert monomial_count(r.y[2]) == 9
 
 
+@pytest.mark.parametrize("entries", [
+    {(0, 1): fsym(0, 1), (1, 0): -fsym(0, 1)},  # y = x: y_2.. are zero
+    {(0, 1): fsym(0, 1), (1, 0): fsym(1, 0), (2, 0): fsym(2, 0)},
+])
+def test_symbolic_coefficients_are_polynomials_by_every_method(entries):
+    t = CoeffTable(4, entries, "symbolic")
+    results = [expand(t, 4, m).y for m in ("direct", "compose", "newton")]
+    assert results[0] == results[1] == results[2]
+    for ys in results:
+        assert all(type(y) is LaurentPoly for y in ys)
+    assert all(type(y_coeff_direct(t, m)) is LaurentPoly for m in range(1, 5))
+    assert all(type(y) is not LaurentPoly for y in expand(builtin_table("geometric", 4)).y)
+
+
+def test_direct_sums_every_product_in_one_fused_pass(monkeypatch):
+    # a(k, l) * B(n, k), the C(m, n) scaling, the column-power products and
+    # the sums behind g_k and y_m all go through algebra.dot: on the way to
+    # y_m no polynomial is added to another or scaled by a number on its own
+    calls = []
+
+    def refused(name, operand_is_ok):
+        inner = getattr(LaurentPoly, name)
+
+        def wrapper(self, other):
+            if not operand_is_ok(other):
+                calls.append(name)
+            return inner(self, other)
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(LaurentPoly, name, refused(name, lambda other: False))
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(LaurentPoly, name,
+                            refused(name, lambda other: isinstance(other, LaurentPoly)))
+    y = y_coeff_direct(CoeffTable.symbolic(8), 8)
+    assert calls == []
+    assert monomial_count(y) == generic_monomial_count(8)
+
+
 def test_specialize_rejects_foreign_symbols():
     from implicitseries.algebra import xsym
     t = builtin_table("geometric", 2)

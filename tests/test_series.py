@@ -11,7 +11,13 @@ from math import factorial
 
 import pytest
 
-from implicitseries.algebra import NotInvertibleError, as_coefficient, fsym, invert_scalar
+from implicitseries.algebra import (
+    LaurentPoly,
+    NotInvertibleError,
+    as_coefficient,
+    fsym,
+    invert_scalar,
+)
 from implicitseries.series import (
     BivariateEGF,
     ConstantTermError,
@@ -274,6 +280,41 @@ def test_symbolic_coefficients_flow_through():
     assert r.coeffs[0] == f01 ** -1
     assert r.coeffs[1] == -fsym(1, 1) * f01 ** -2
     assert a * r == TaylorEGF([1, 0, 0])
+
+
+def test_fused_and_plain_row_sums_agree():
+    # symbolic coefficients take the fused dot in the series product, the
+    # exp/log/reciprocal recurrences, compose and reversion; specialized to
+    # numbers they take the plain loops, and the two must agree
+    rng = random.Random(12)
+    syms = [fsym(1, 0), fsym(2, 0), fsym(1, 1)]
+    values = {s.single_variable_code(): Fraction(rng.randrange(1, 7), rng.randrange(1, 4))
+              for s in syms}
+    f01 = fsym(0, 1)
+    values[f01.single_variable_code()] = Fraction(3, 2)
+
+    def rand_coeff():
+        return sum((rng.randrange(-3, 4) * s for s in syms), LaurentPoly.const(rng.randrange(-2, 3)))
+
+    def num(series):
+        return TaylorEGF([c.eval(values) if isinstance(c, LaurentPoly) else c
+                          for c in series.coeffs])
+
+    for _ in range(4):
+        a = TaylorEGF([0] + [rand_coeff() for _ in range(5)])
+        b = TaylorEGF([f01] + [rand_coeff() for _ in range(5)])
+        one = TaylorEGF([1] + list(a.coeffs[1:]))
+        unit_linear = TaylorEGF([0, f01] + list(a.coeffs[2:]))
+        pairs = [
+            (a * b, num(a) * num(b)),
+            (a.exp(), num(a).exp()),
+            (one.log(), num(one).log()),
+            (b.reciprocal(), num(b).reciprocal()),
+            (b.compose(a), num(b).compose(num(a))),
+            (unit_linear.reversion(), num(unit_linear).reversion()),
+        ]
+        for fused, plain in pairs:
+            assert num(fused) == plain
 
 
 # -- bivariate ------------------------------------------------------------
