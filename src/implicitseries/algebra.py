@@ -411,9 +411,13 @@ class LaurentPoly:
         return LaurentPoly._raw({m: -c for m, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other):
-        if isinstance(other, (LaurentPoly, int, Fraction)):
-            return self + -other
-        return NotImplemented
+        if isinstance(other, (int, Fraction)):
+            other = LaurentPoly.const(other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
+        out = dict(self._terms)
+        addscaled_terms(out, -1, other._terms)
+        return LaurentPoly._raw(out, max(self._bound, other._bound))
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -528,10 +532,19 @@ def _normalize_raw(terms):
     for mon, c in items:
         mon, b = _pack(zip(mon[::2], mon[1::2]))
         c = _canonical(c)
-        if c:
-            bound = max(bound, b)
-            addscaled_terms(acc, 1, {mon: c})
-    return {m: _canonical(c) for m, c in acc.items()}, bound
+        if not c:
+            continue
+        bound = max(bound, b)
+        prev = acc.get(mon)
+        if prev is None:
+            acc[mon] = c
+        else:
+            s = _canonical(prev + c)
+            if s:
+                acc[mon] = s
+            else:
+                del acc[mon]
+    return acc, bound
 
 
 _ZERO = LaurentPoly._raw({}, 0)

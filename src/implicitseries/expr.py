@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .implicit import CoeffTable, ensure_valid
+from .implicit import CoeffTable, NotExpandableError, validate_table
 from .series import BivariateEGF
 
 
@@ -301,8 +301,14 @@ def table_from_expr(src, order) -> CoeffTable:
     """
     node = parse(src) if isinstance(src, str) else src
     f = eval_series(node, order)
-    # the table keeps only the nonzero entries
-    table = CoeffTable(order, {(m, n): c for m, row in enumerate(f.coeffs)
-                               for n, c in enumerate(row)}, "rational")
-    ensure_valid(table)
+    entries = {}
+    for m in range(order + 1):
+        for n in range(order + 1):
+            c = f.coeffs[m][n]
+            if c:
+                entries[(m, n)] = c
+    table = CoeffTable(order, entries, "rational")
+    problems = validate_table(table)
+    if problems:
+        raise NotExpandableError("; ".join(problems))
     return table

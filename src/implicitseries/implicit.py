@@ -374,13 +374,14 @@ def expand_compose(table, order=None):
     t0 = time.perf_counter()
     phi0 = column_series(table, 0, order)
     total = TaylorEGF.zero(order)
-    power = TaylorEGF.one(order)  # (-f(x,0))^k / k!, divided one -k at a time
+    power = TaylorEGF.one(order)  # f(x,0)^k / k!, divided one k at a time
     for k in range(1, order + 1):
-        power = power * phi0 / -k
+        power = power * phi0 / k
         if power.is_zero():
             break
         g = _inverse_coeff_series(table, k, order - k).truncate(order - k)
-        total = total + TaylorEGF(g.coeffs, order=order) * power
+        term = TaylorEGF(g.coeffs, order=order) * power
+        total = (total - term) if k % 2 else (total + term)
     if total.coeffs[0]:
         raise InvariantError("composition produced a nonzero constant term")
     ys = [_in_mode(table, ym) for ym in total.coeffs[1:]]
@@ -415,7 +416,6 @@ def expand_newton(table, order=None):
     order = _expansion_order(table, order)
     f = as_bivariate(table, order)
     inv01 = invert_scalar(table.entry(0, 1))
-    fused = table.mode == "symbolic"  # rational sums keep the plain loop
     # pw[n][j]: coefficient j of u^n/n!, zero below j = n; pw[1] is u
     pw = [[1] + [_ZERO] * order] + [[_ZERO] * n for n in range(1, order + 1)]
     u = pw[1]
@@ -424,26 +424,13 @@ def expand_newton(table, order=None):
         t0 = time.perf_counter()
         for n in range(2, m + 1):
             prev = pw[n - 1]
-            if fused:
-                s = dot([(comb(m, i), u[i], prev[m - i]) for i in range(1, m - n + 2)
-                         if u[i] and prev[m - i]])
-            else:
-                s = 0
-                for i in range(1, m - n + 2):
-                    if u[i] and prev[m - i]:
-                        s = s + comb(m, i) * u[i] * prev[m - i]
+            s = dot([(comb(m, i), u[i], prev[m - i]) for i in range(1, m - n + 2)
+                     if u[i] and prev[m - i]])
             pw[n].append(div_int(s, n))
         u.append(_ZERO)  # u_m is unknown yet, so f(0,1) u_m drops out
-        if fused:
-            s = dot([(comb(m, k), f.coeffs[k][n], pw[n][m - k]) for k in range(m + 1)
-                     for n in range(m - k + 1) if f.coeffs[k][n] and pw[n][m - k]])
-        else:
-            s = 0
-            for k in range(m + 1):
-                row = f.coeffs[k]
-                for n in range(m - k + 1):
-                    if row[n] and pw[n][m - k]:
-                        s = s + comb(m, k) * row[n] * pw[n][m - k]
+        # a generator, so that no list of about m^2/2 triples is held
+        s = dot((comb(m, k), f.coeffs[k][n], pw[n][m - k]) for k in range(m + 1)
+                for n in range(m - k + 1) if f.coeffs[k][n] and pw[n][m - k])
         ym = as_coefficient(-(s * inv01))
         u[m] = ym
         ys.append(ym)

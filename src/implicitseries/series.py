@@ -37,16 +37,10 @@ def _exp_rows(f, g0):
     g0 = exp F_0, by G' = F' G: G_{m+1} = sum_i C(m, i) F_{i+1} G_{m-i}.
 
     A row is a scalar (a one-variable series) or a series in y (a
-    bivariate one); ' is the derivative in x.  Rows that hold a LaurentPoly
-    are summed by the fused `dot`, scalar and series rows by the plain loop.
+    bivariate one); ' is the derivative in x.
     """
     g = [g0]
-    fused = LaurentPoly in map(type, f)
     for m in range(len(f) - 1):
-        if fused:
-            g.append(dot([(comb(m, i), f[i + 1], g[m - i]) for i in range(m + 1)
-                          if f[i + 1] and g[m - i]]))
-            continue
         s = f[1] * g[m]
         for i in range(1, m + 1):
             if f[i + 1] and g[m - i]:
@@ -60,14 +54,7 @@ def _quotient_rows(f, r, inv0):
     inv0 = 1 / F_0, by F Q = R: Q_m = inv0 (R_m - sum_{i>=1} C(m, i) F_i Q_{m-i}).
     Rows are as in `_exp_rows`."""
     q = []
-    fused = LaurentPoly in map(type, f)
-    if fused:
-        f = [inv0 * c for c in f]  # inv0 rides on the rows, so Q_m is one dot
     for m in range(len(r)):
-        if fused:
-            q.append(dot([(1, inv0, r[m])] + [(-comb(m, i), f[i], q[m - i])
-                                              for i in range(1, m + 1) if f[i] and q[m - i]]))
-            continue
         s = r[m]
         for i in range(1, m + 1):
             if f[i] and q[m - i]:
@@ -142,7 +129,8 @@ class TaylorEGF:
     def __sub__(self, other):
         if not isinstance(other, TaylorEGF):
             return NotImplemented
-        return self + -other
+        self._check(other)
+        return TaylorEGF([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
         return TaylorEGF([-a for a in self.coeffs])
@@ -151,9 +139,14 @@ class TaylorEGF:
         if isinstance(other, TaylorEGF):
             self._check(other)
             a, b = self.coeffs, other.coeffs
-            # the first nonzero coefficient tells the ring: sums of
-            # polynomials take the fused dot, sums of numbers the plain loop
-            if type(next(filter(None, chain(a, b)), 0)) is LaurentPoly:
+            # sums of polynomials take the fused dot, sums of numbers the
+            # plain loop, which costs them no tuple per term.  Each operand
+            # is judged by its first nonzero coefficient (a full scan costs
+            # lambert20 about 2%), so a symbolic factor still takes dot when
+            # the other starts with an int, as the series one does; two
+            # factors that both start with an int take the plain loop, which
+            # gives the same value.
+            if LaurentPoly in (type(next(filter(None, a), 0)), type(next(filter(None, b), 0))):
                 return TaylorEGF([dot([(comb(n, i), a[i], b[n - i]) for i in range(n + 1)
                                        if a[i] and b[n - i]]) for n in range(self.order + 1)])
             out = []
@@ -231,8 +224,8 @@ class TaylorEGF:
         bell_memo = {}
         h = [_ZERO, inv1]
         for n in range(2, self.order + 1):
-            s = dot([(-1, h[k], bell_eval(n, k, args, bell_memo)) for k in range(1, n) if h[k]])
-            h.append(as_coefficient(s * inv1 ** n))
+            s = dot([(1, h[k], bell_eval(n, k, args, bell_memo)) for k in range(1, n) if h[k]])
+            h.append(as_coefficient(-(s * inv1 ** n)))
         return TaylorEGF(h)
 
     def exp(self):
@@ -320,7 +313,11 @@ class BivariateEGF:
     def __sub__(self, other):
         if not isinstance(other, BivariateEGF):
             return NotImplemented
-        return self + -other
+        self._check(other)
+        return BivariateEGF([
+            [a - b for a, b in zip(ra, rb)]
+            for ra, rb in zip(self.coeffs, other.coeffs)
+        ])
 
     def __neg__(self):
         return BivariateEGF([[-c for c in row] for row in self.coeffs])

@@ -7,7 +7,7 @@ converts back.  Any disagreement is a real bug in the convolution logic.
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -15,6 +15,7 @@ from implicitseries.algebra import (
     LaurentPoly,
     NotInvertibleError,
     as_coefficient,
+    dot,
     fsym,
     invert_scalar,
 )
@@ -283,9 +284,9 @@ def test_symbolic_coefficients_flow_through():
 
 
 def test_fused_and_plain_row_sums_agree():
-    # symbolic coefficients take the fused dot in the series product, the
-    # exp/log/reciprocal recurrences, compose and reversion; specialized to
-    # numbers they take the plain loops, and the two must agree
+    # symbolic coefficients take the fused dot in the series product,
+    # compose and reversion; specialized to numbers they take the plain
+    # series product, and the two must agree
     rng = random.Random(12)
     syms = [fsym(1, 0), fsym(2, 0), fsym(1, 1)]
     values = {s.single_variable_code(): Fraction(rng.randrange(1, 7), rng.randrange(1, 4))
@@ -315,6 +316,32 @@ def test_fused_and_plain_row_sums_agree():
         ]
         for fused, plain in pairs:
             assert num(fused) == plain
+
+
+def test_series_product_picks_the_fused_kernel_by_either_operand(monkeypatch):
+    # a product whose operands' first nonzero coefficients include a
+    # polynomial goes through one dot per output coefficient, also when the
+    # other operand holds ints; a product of numbers never does
+    from implicitseries import series
+    calls = []
+
+    def counted(triples):
+        calls.append(1)
+        return dot(triples)
+
+    monkeypatch.setattr(series, "dot", counted)
+    sym = TaylorEGF([0, fsym(1, 0), fsym(2, 0), fsym(1, 1)])
+    one = TaylorEGF.one(3)
+    mixed = TaylorEGF([1, fsym(0, 1), 0, fsym(2, 0)])
+    for a, b in ((sym, one), (one, sym), (mixed, sym), (sym, mixed)):
+        calls.clear()
+        assert a * b == TaylorEGF([sum((comb(n, i) * a[i] * b[n - i] for i in range(n + 1)), 0)
+                                   for n in range(4)])
+        assert len(calls) == 4
+    calls.clear()
+    numbers = TaylorEGF([Fraction(1, 2), 3, 0, Fraction(-2, 7)])
+    numbers * numbers * one
+    assert calls == []
 
 
 # -- bivariate ------------------------------------------------------------
