@@ -616,11 +616,11 @@ def div_int(value, n):
     exact and canonical.  An int that n divides becomes value // n, so
     integral work such as u^n / n! makes no Fraction; anything else gives
     the same canonical value as value * Fraction(1, n)."""
+    if not n:
+        raise ZeroDivisionError("division by zero")
     if type(value) is int:
         return Fraction(value, n) if value % n else value // n
     if isinstance(value, LaurentPoly):
-        if not n:
-            raise ZeroDivisionError("division by zero")
         return LaurentPoly._raw(div_terms(value._terms, n), value._bound)
     return _canonical(value / n)
 

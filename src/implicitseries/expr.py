@@ -13,7 +13,8 @@ Numbers are nonnegative integer or p/q rational literals; "1/2" lexes as
 one token when the slash immediately joins two digit runs, so it binds
 tighter than division.  '^' takes integer literal exponents only and binds
 tighter than unary minus; an exponent, tower or not, may not exceed
-MAX_EXPONENT in magnitude.  There is no implicit multiplication.
+MAX_EXPONENT in magnitude, and parentheses and towers MAX_NESTING levels
+in depth.  There is no implicit multiplication.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .implicit import CoeffTable, NotExpandableError, validate_table
+from .implicit import CoeffTable, ensure_valid
 from .series import BivariateEGF
 
 
@@ -49,6 +50,10 @@ _OPS = set("+-*/^()")
 # bound is checked before a tower is evaluated, so that x^9^9^9 fails at once
 # instead of building an integer of some 370 million digits.
 MAX_EXPONENT = 10**6
+
+# Deepest parentheses (a call's included) and highest tower accepted: a level
+# costs at most six stack frames, well inside the default recursion limit.
+MAX_NESTING = 100
 
 
 def tokenize(src):
@@ -129,6 +134,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -138,9 +144,10 @@ class _Parser:
         self.i += 1
         return tok
 
-    def at_op(self, *ops):
+    def accept(self, *ops):
         tok = self.peek()
-        return tok.kind == "op" and tok.text in ops
+        if tok.kind == "op" and tok.text in ops:
+            return self.take().text
 
     def expect_op(self, op):
         tok = self.take()
@@ -150,36 +157,33 @@ class _Parser:
 
     def parse_sum(self):
         node = self.parse_product()
-        while self.at_op("+", "-"):
-            op = self.take().text
+        while op := self.accept("+", "-"):
             node = BinOp(op, node, self.parse_product())
         return node
 
     def parse_product(self):
         node = self.parse_unary()
-        while self.at_op("*", "/"):
-            op = self.take().text
+        while op := self.accept("*", "/"):
             node = BinOp(op, node, self.parse_unary())
         return node
 
     def parse_unary(self):
-        if self.at_op("-"):
-            self.take()
-            return Neg(self.parse_unary())
-        return self.parse_power()
+        negs = 0
+        while self.accept("-"):
+            negs += 1
+        node = self.parse_power()
+        for _ in range(negs):
+            node = Neg(node)
+        return node
 
     def parse_power(self):
         base = self.parse_atom()
-        if self.at_op("^"):
-            self.take()
+        if self.accept("^"):
             return Pow(base, self.parse_exponent())
         return base
 
-    def parse_exponent(self):
-        sign = 1
-        if self.at_op("-"):
-            self.take()
-            sign = -1
+    def parse_exponent(self, level=1):
+        sign = -1 if self.accept("-") else 1
         tok = self.take()
         if tok.kind != "number":
             raise ParseError(
@@ -191,9 +195,10 @@ class _Parser:
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
             raise ParseError(f"exponent exceeds the limit {MAX_EXPONENT}", tok.pos)
         e = int(digits)
-        if self.at_op("^"):
-            self.take()
-            rest = self.parse_exponent()
+        if self.accept("^"):
+            if level == MAX_NESTING:
+                raise ParseError(f"exponent tower higher than the limit {MAX_NESTING}", tok.pos)
+            rest = self.parse_exponent(level + 1)
             if rest < 0:
                 raise ParseError("exponent tower with a negative upper level", tok.pos)
             # for e >= 2, e ** rest >= 2 ** rest, which passes the limit once
@@ -203,6 +208,17 @@ class _Parser:
                     f"exponent tower {e}^{rest} exceeds the limit {MAX_EXPONENT}", tok.pos)
             e = e ** rest
         return sign * e
+
+    def parse_group(self):
+        """'(' sum ')', the grammar's one recursion, MAX_NESTING deep at most."""
+        tok = self.expect_op("(")
+        if self.nesting == MAX_NESTING:
+            raise ParseError(f"parentheses nest deeper than the limit {MAX_NESTING}", tok.pos)
+        self.nesting += 1
+        node = self.parse_sum()
+        self.nesting -= 1
+        self.expect_op(")")
+        return node
 
     def parse_atom(self):
         tok = self.peek()
@@ -214,17 +230,11 @@ class _Parser:
             if tok.text in ("x", "y"):
                 return Var(tok.text)
             if tok.text in ("exp", "log"):
-                self.expect_op("(")
-                arg = self.parse_sum()
-                self.expect_op(")")
-                return Call(tok.text, arg)
+                return Call(tok.text, self.parse_group())
             raise ParseError(f"unknown name {tok.text!r}", tok.pos,
                              ("'x'", "'y'", "'exp'", "'log'"))
         if tok.kind == "op" and tok.text == "(":
-            self.take()
-            node = self.parse_sum()
-            self.expect_op(")")
-            return node
+            return self.parse_group()
         raise ParseError(
             f"found {tok.text or 'end of input'!r}", tok.pos,
             ("number", "name", "'('", "'-'"),
@@ -241,7 +251,8 @@ def parse(src) -> Node:
 
 
 def to_text(node) -> str:
-    """Fully parenthesized form; reparsing it reproduces the tree exactly.
+    """Fully parenthesized form; reparsing it reproduces the tree exactly
+    when the tree is at most MAX_NESTING levels deep.
 
     Binary operators are spaced so that a printed division of literals
     does not fuse back into a single rational token.
@@ -266,24 +277,30 @@ def eval_series(node, order) -> BivariateEGF:
 
     Division, exp and log inherit the series-domain requirements (unit
     constant term; zero or unit constant term respectively) and raise the
-    series errors when violated.
+    series errors when violated.  Chains of minuses, sums and products are
+    walked in loops, so that only parentheses deepen the recursion.
     """
     if isinstance(node, Num):
         return BivariateEGF.const(node.value, order)
     if isinstance(node, Var):
         return BivariateEGF.var_x(order) if node.name == "x" else BivariateEGF.var_y(order)
     if isinstance(node, Neg):
-        return -eval_series(node.operand, order)
+        negs = 0
+        while isinstance(node, Neg):
+            negs, node = negs + 1, node.operand
+        val = eval_series(node, order)
+        return -val if negs % 2 else val
     if isinstance(node, BinOp):
-        a = eval_series(node.left, order)
-        b = eval_series(node.right, order)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a * b.reciprocal()
+        spine = []
+        while isinstance(node, BinOp):
+            spine.append(node)
+            node = node.left
+        a = eval_series(node, order)
+        for op in reversed(spine):
+            b = eval_series(op.right, order)
+            a = (a + b if op.op == "+" else a - b if op.op == "-"
+                 else a * b if op.op == "*" else a * b.reciprocal())
+        return a
     if isinstance(node, Pow):
         return eval_series(node.base, order).pow_int(node.exponent)
     if isinstance(node, Call):
@@ -308,7 +325,5 @@ def table_from_expr(src, order) -> CoeffTable:
             if c:
                 entries[(m, n)] = c
     table = CoeffTable(order, entries, "rational")
-    problems = validate_table(table)
-    if problems:
-        raise NotExpandableError("; ".join(problems))
+    ensure_valid(table)
     return table

@@ -7,13 +7,14 @@ y_1, y_2, ... of the unique formal solution are computed three ways:
 * direct    -- a closed double sum pairing Bell polynomials in the
                f(m, 0) column with the Taylor coefficients of the
                y-to-x inverse relation,
-* compose   -- composition of the inverse relation with -f(x, 0),
+* compose   -- G(x, -f(x, 0)) by BivariateEGF.substitute_y, column k
+               of the box G being the inverse-relation series g_k,
 * newton    -- order-by-order elimination of the residual f(x, y(x)),
                which touches none of the combinatorial machinery.
 
 Direct and compose read the same cached inverse-relation series g_k and
-differ only in how they combine them with the f(m, 0) column; newton is
-the independent cross-check.
+evaluate the same substitution, direct through Bell polynomials in the
+f(m, 0) column; newton is the independent cross-check.
 
 In rational mode the coefficients are exact scalars -- an int when
 integral, otherwise a Fraction; in symbolic mode they are Laurent
@@ -335,10 +336,10 @@ def _inverse_coeff_series(table, k, order):
     Like _column_power, the cache keeps one series per k, the longest
     built so far, and builds it again only when a caller asks for more;
     the result may run past x^order.  The order need not be the table's:
-    compose asks for g_k only through x^(N-k), because it multiplies g_k
-    by f(x,0)^k, whose valuation is k, so no coefficient of g_k above
-    x^(N-k) reaches x^N.  Each coefficient is one `dot` per batch of 32
-    partitions, so that no more products than that are held at once."""
+    compose asks for g_k only through x^(N-k), because it substitutes
+    -f(x,0), whose k-th power has valuation at least k, so no coefficient of
+    g_k above x^(N-k) reaches x^N.  Each coefficient is one `dot` per batch
+    of 32 partitions, so that no more products than that are held at once."""
     key = ("invseries", k)
     hit = table._cache.get(key)
     if hit is not None and hit.order >= order:
@@ -359,29 +360,27 @@ def _inverse_coeff_series(table, k, order):
 
 
 def expand_compose(table, order=None):
-    """Expansion by composing the inverse relation with -f(x, 0):
+    """Expansion as G(x, -f(x, 0)) by BivariateEGF.substitute_y, the
+    substitution newton's final check makes, column k of the box G being
+    the inverse-relation series g_k:
 
-        y(x) = sum_{k>=1} (-1)^k g_k(x) f(x,0)^k / k!
+        y(x) = sum_{k>=1} g_k(x) (-f(x,0))^k / k!
 
-    where g_k is the k-th inverse-relation coefficient series.  All series
-    are truncated at the requested order N; the sum stops there too because
-    f(x, 0) has no constant term.  For the same reason f(x,0)^k / k! has
-    valuation k, so only x^0..x^(N-k) of g_k can reach the result: g_k is
-    built through x^(N-k) alone and padded with zeros back to order N,
-    which the zero-skipping series product then passes over.
+    Direct evaluates the same sum through Bell polynomials.  The k-th term
+    starts at x^(v*k) or later, v the valuation of f(x, 0), so g_k is built
+    only for k <= N // v (for no k when the column is zero) and only
+    through x^(N-k).
     """
     order = _expansion_order(table, order)
     t0 = time.perf_counter()
     phi0 = column_series(table, 0, order)
-    total = TaylorEGF.zero(order)
-    power = TaylorEGF.one(order)  # f(x,0)^k / k!, divided one k at a time
-    for k in range(1, order + 1):
-        power = power * phi0 / k
-        if power.is_zero():
-            break
-        g = _inverse_coeff_series(table, k, order - k).truncate(order - k)
-        term = TaylorEGF(g.coeffs, order=order) * power
-        total = (total - term) if k % 2 else (total + term)
+    v = next((m for m, c in enumerate(phi0.coeffs) if c), 0)
+    box = [[_ZERO] * (order + 1) for _ in range(order + 1)]
+    for k in range(1, order // v + 1 if v else 1):
+        g = _inverse_coeff_series(table, k, order - k).coeffs
+        for m in range(order - k + 1):
+            box[m][k] = g[m]
+    total = BivariateEGF(box).substitute_y(-phi0)
     if total.coeffs[0]:
         raise InvariantError("composition produced a nonzero constant term")
     ys = [_in_mode(table, ym) for ym in total.coeffs[1:]]

@@ -167,7 +167,7 @@ class TaylorEGF:
         """The series divided by a nonzero int, exactly (see div_int)."""
         if not isinstance(n, int):
             return NotImplemented
-        return TaylorEGF([div_int(c, n) if c else c for c in self.coeffs])
+        return TaylorEGF([div_int(c, n) for c in self.coeffs])
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -356,7 +356,7 @@ class BivariateEGF:
         """The series divided by a nonzero int, exactly (see div_int)."""
         if not isinstance(n, int):
             return NotImplemented
-        return BivariateEGF([[div_int(c, n) if c else c for c in row] for row in self.coeffs])
+        return BivariateEGF([[div_int(c, n) for c in row] for row in self.coeffs])
 
     def pow_int(self, exponent):
         if exponent < 0:
@@ -405,13 +405,12 @@ class BivariateEGF:
         if u.coeffs[0]:
             raise ConstantTermError("substitution needs a zero constant term")
         u = u.truncate(order)
-        total = TaylorEGF.zero(order)
+        total = TaylorEGF([self.coeffs[m][0] for m in range(order + 1)])  # row 0 times u^0
         upow = TaylorEGF.one(order)  # u^n / n!
-        for n in range(min(self.order, order) + 1):
-            if n:
-                upow = upow * u / n
-                if upow.is_zero():
-                    break
+        for n in range(1, order + 1):
+            upow = upow * u / n
+            if upow.is_zero():
+                break
             row = [self.coeffs[m][n] for m in range(order + 1)]
             if any(row):
                 total = total + TaylorEGF(row) * upow

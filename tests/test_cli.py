@@ -10,7 +10,9 @@ import pytest
 import implicitseries.cli as cli
 from implicitseries.algebra import ZERO, LaurentPoly, fsym, xsym
 from implicitseries.combinatorics import bell_partial
+from implicitseries.expr import MAX_NESTING
 from implicitseries.implicit import CoeffTable, builtin_table, expand
+from implicitseries.series import BivariateEGF, TaylorEGF
 
 
 def run(capsys, *argv):
@@ -310,6 +312,48 @@ def test_status_1_exponent_tower_fails_fast(capsys):
     assert code == 1 and "byte 4" in err and "limit" in err
 
 
+# -- deeply nested expressions: expand, or exit 1 with one line, never a
+# RecursionError.  Chains of operators are read and evaluated in loops;
+# nested parentheses and exponent towers stop at expr.MAX_NESTING levels.
+
+
+def _nest(opening, n, closing, tail="-x"):
+    return opening * n + "y" + closing * n + tail
+
+
+@pytest.mark.parametrize("text, same_as", [
+    ("-" * 1000 + "y-x", "y-x"),
+    ("-" * 1001 + "y-x", "-y-x"),
+    ("y+" * 989 + "y-x", "990*y-x"),
+    ("y^" + "1^" * 99 + "1-x", "y-x"),
+    (_nest("(", 100, ")"), "y-x"),
+    (_nest("log(1+", 100, ")"), None),
+    (_nest("(y-", 50, ")"), "y-x"),
+    (_nest("-(y*2+", 100, ")"), "y-x"),
+], ids=["minus1000", "minus1001", "sum990", "tower100", "parens100", "log100",
+        "alternating50", "negsum100"])
+def test_long_chains_and_nesting_at_the_limit_expand(capsys, text, same_as):
+    code, out, err = run(capsys, f"--expr={text}", "-N", "3")
+    assert code == 0 and err == ""
+    if same_as is not None:
+        assert out == run(capsys, f"--expr={same_as}", "-N", "3")[1]
+
+
+@pytest.mark.parametrize("text", [
+    _nest("(", 101, ")"),
+    _nest("(", 198, ")"),
+    _nest("exp(", 150, ")", "-1-x"),
+    _nest("-(y+", 101, ")"),
+    "y^" + "1^" * 100 + "1-x",
+    "y^" + "1^" * 999 + "1-x",
+], ids=["parens101", "parens198", "exp150", "negsum101", "tower101", "tower1000"])
+def test_status_1_deep_nesting_fails_fast(capsys, text):
+    code, out, err = run(capsys, f"--expr={text}", "-N", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"limit {MAX_NESTING}" in err
+
+
 @pytest.mark.parametrize("method", ["direct", "compose", "newton", "all"])
 @pytest.mark.parametrize("source", [
     ("--mode", "symbolic"),
@@ -389,6 +433,22 @@ def test_status_3_method_mismatch(capsys, monkeypatch):
     code, _, err = run(capsys, "--builtin", "geometric", "-N", "3")
     assert code == 3
     assert "m=3" in err and "newton" in err
+
+
+def test_a_faulty_substitution_fails_method_all(capsys, monkeypatch):
+    # compose and newton's final check both sum through substitute_y, so a
+    # fault there cannot pass --method all: compose no longer matches
+    # direct, and newton's residual no longer vanishes
+    real = BivariateEGF.substitute_y
+
+    def off_by_one(self, u, order=None):
+        s = real(self, u, order)
+        return TaylorEGF(s.coeffs[:-1] + (s.coeffs[-1] + 1,))
+
+    monkeypatch.setattr(BivariateEGF, "substitute_y", off_by_one)
+    for source in (("--builtin", "lambert"), ("--mode", "symbolic")):
+        code, out, err = run(capsys, *source, "-N", "4", "--method", "all")
+        assert code in (3, 4) and out == "" and err.startswith("error:")
 
 
 def test_status_4_check_failure(capsys, monkeypatch):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from implicitseries.algebra import NotInvertibleError
 from implicitseries.expr import (
     MAX_EXPONENT,
+    MAX_NESTING,
     BinOp,
     Call,
     Neg,
@@ -83,6 +84,34 @@ def test_exponent_limit_is_checked_before_the_power():
         with pytest.raises(ParseError) as e:
             parse(src)
         assert f"byte {pos}" in str(e.value) and "limit" in str(e.value)
+
+
+def test_chains_of_any_length_parse_and_evaluate_in_loops():
+    # each chain nests the tree 5000 deep, five times the recursion limit
+    minuses, terms = parse("-" * 5000 + "y"), parse("+".join(["y"] * 5000))
+    node, depth = minuses, 0
+    while isinstance(node, Neg):  # a loop, as == on such a tree recurses
+        node, depth = node.operand, depth + 1
+    assert (depth, node) == (5000, Var("y"))
+    node, depth = terms, 0
+    while isinstance(node, BinOp):
+        assert node.op == "+" and node.right == Var("y")
+        node, depth = node.left, depth + 1
+    assert (depth, node) == (4999, Var("y"))
+    assert eval_series(minuses, 2) == eval_series(Var("y"), 2)
+    assert eval_series(terms, 2) == eval_series(parse("5000*y"), 2)
+
+
+def test_nesting_and_towers_stop_at_max_nesting():
+    deepest = "(" * MAX_NESTING + "y" + ")" * MAX_NESTING
+    assert parse(deepest) == Var("y")
+    assert parse("y^" + "1^" * (MAX_NESTING - 1) + "2") == Pow(Var("y"), 1)
+    for src, pos in (("(" + deepest + ")", MAX_NESTING),
+                     ("exp(" * (MAX_NESTING + 1), 4 * MAX_NESTING + 3),
+                     ("y^" + "1^" * MAX_NESTING + "2", 2 * MAX_NESTING)):
+        with pytest.raises(ParseError) as e:
+            parse(src)
+        assert f"limit {MAX_NESTING} at byte {pos}" in str(e.value)
 
 
 def test_parse_errors_carry_position_and_expectations():

@@ -275,6 +275,31 @@ def test_compose_builds_each_g_k_only_through_n_minus_k(monkeypatch):
         got = expand_compose(table, order).y
         assert requests == [(k, order - k) for k in range(1, order + 1)]
         assert got == expand_direct(table, order).y
+    # (-f(x,0))^k has valuation 3k when f(x,0) = -x^3, so only g_1 and g_2
+    # reach x^7; a zero f(x,0) column needs no g_k at all
+    for src, want in (("y*exp(y) + x*y - x^3", [(1, 6), (2, 5)]), ("y*exp(x + y)", [])):
+        table = table_from_expr(src, 7)
+        requests.clear()
+        got = expand_compose(table, 7).y
+        assert requests == want
+        assert got == expand_direct(table, 7).y
+
+
+def test_compose_sums_through_one_substitution(monkeypatch):
+    # compose is G(x, -f(x,0)) by BivariateEGF.substitute_y, the routine
+    # newton's final check uses, and makes no sum of its own
+    calls = []
+    substitute_y = BivariateEGF.substitute_y
+
+    def recording(self, u, order=None):
+        calls.append(u)
+        return substitute_y(self, u, order)
+
+    monkeypatch.setattr(BivariateEGF, "substitute_y", recording)
+    for table in (CoeffTable.symbolic(5), builtin_table("lambert", 8)):
+        calls.clear()
+        expand_compose(table)
+        assert calls == [-column_series(table, 0)]
 
 
 def test_direct_builds_the_top_column_power_only_to_its_constant_term():

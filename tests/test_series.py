@@ -95,6 +95,10 @@ def test_division_by_an_int_is_entrywise_and_exact():
     assert type((b / 2).coeffs[0][1]) is int
     with pytest.raises(TypeError):
         t / Fraction(1, 2)
+    # zero is refused whatever the coefficients, all-zero series included
+    for s in (t, b, TaylorEGF.zero(2), BivariateEGF.const(0, 2)):
+        with pytest.raises(ZeroDivisionError):
+            s / 0
 
 
 @pytest.mark.parametrize("factor", [
