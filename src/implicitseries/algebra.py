@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import isqrt
+from math import gcd, isqrt
 
 
 class NotInvertibleError(ArithmeticError):
@@ -241,12 +241,26 @@ def dot(triples):
     canonical (a LaurentPoly if any operand is one, zero included).  Raises
     OverflowError on the same exponent bound as __mul__."""
     out = {}
-    s = 0
+    # the scalar products: s sums those of two ints, and num / den the
+    # others over the lcm of their denominators, so that no term makes a
+    # Fraction and its gcd
+    s = num = 0
+    den = 1
     bound = -1  # stays negative while no LaurentPoly has been met
     for k, a, b in triples:
         if type(a) is not LaurentPoly:
             if type(b) is not LaurentPoly:
-                s = s + k * a * b
+                if type(a) is int is type(b):
+                    s += k * a * b
+                    continue
+                q = a.denominator * b.denominator
+                p = k * a.numerator * b.numerator
+                if den % q:
+                    g = gcd(den, q)
+                    num = num * (q // g) + p * (den // g)
+                    den = den // g * q
+                else:
+                    num += p * (den // q)
                 continue
             a, b = b, a
         if type(b) is LaurentPoly:
@@ -258,6 +272,8 @@ def dot(triples):
         if k:
             addmul_terms(out, k, a._terms, b)
         bound = max(bound, pair)
+    if num:
+        s = Fraction(s * den + num, den)
     if bound < 0:
         return _canonical(s)
     if s:

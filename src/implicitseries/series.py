@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import comb
+from math import comb, lcm
 
 from .algebra import (LaurentPoly, NotInvertibleError, as_coefficient, div_int, dot,
                       invert_scalar, power)
@@ -30,6 +30,17 @@ class MixedOrderError(ValueError):
 
 class ConstantTermError(ValueError):
     """A constant term violates an operation's domain requirement."""
+
+
+def _over_one_denominator(rows):
+    """(d, the rows times d), d the lcm of the denominators of the Fraction
+    entries: each scalar becomes an int and a LaurentPoly entry is
+    multiplied by d.  Rows without a Fraction come back as they are."""
+    d = lcm(*[c.denominator for row in rows for c in row if type(c) is Fraction])
+    if d == 1:
+        return 1, rows
+    return d, [[c.numerator * (d // c.denominator) if type(c) is Fraction else c * d
+                for c in row] for row in rows]
 
 
 def _exp_rows(f, g0):
@@ -80,6 +91,13 @@ class TaylorEGF:
         self.coeffs = tuple(coeffs)
 
     @classmethod
+    def _raw(cls, coeffs):
+        # Trusted constructor: every coefficient must be canonical already.
+        s = cls.__new__(cls)
+        s.coeffs = tuple(coeffs)
+        return s
+
+    @classmethod
     def zero(cls, order):
         return cls([_ZERO] * (order + 1))
 
@@ -118,7 +136,7 @@ class TaylorEGF:
     def truncate(self, order):
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TaylorEGF(self.coeffs[: order + 1])
+        return TaylorEGF._raw(self.coeffs[: order + 1])
 
     def __add__(self, other):
         if not isinstance(other, TaylorEGF):
@@ -140,23 +158,33 @@ class TaylorEGF:
             self._check(other)
             a, b = self.coeffs, other.coeffs
             # sums of polynomials take the fused dot, sums of numbers the
-            # plain loop, which costs them no tuple per term.  Each operand
-            # is judged by its first nonzero coefficient (a full scan costs
-            # lambert20 about 2%), so a symbolic factor still takes dot when
-            # the other starts with an int, as the series one does; two
-            # factors that both start with an int take the plain loop, which
+            # int loop below, which costs them no tuple per term.  Each
+            # operand is judged by its first nonzero coefficient (a full scan
+            # costs lambert20 about 2%), so a symbolic factor still takes dot
+            # when the other starts with an int, as the series one does; two
+            # factors that both start with an int take the int loop, which
+            # scales a later polynomial coefficient by multiplication and
             # gives the same value.
             if LaurentPoly in (type(next(filter(None, a), 0)), type(next(filter(None, b), 0))):
-                return TaylorEGF([dot([(comb(n, i), a[i], b[n - i]) for i in range(n + 1)
-                                       if a[i] and b[n - i]]) for n in range(self.order + 1)])
-            out = []
-            for n in range(self.order + 1):
-                s = 0
-                for i in range(n + 1):
-                    if a[i] and b[n - i]:
-                        s = s + comb(n, i) * a[i] * b[n - i]
-                out.append(s)
-            return TaylorEGF(out)
+                return TaylorEGF._raw([dot([(comb(n, i), a[i], b[n - i]) for i in range(n + 1)
+                                            if a[i] and b[n - i]]) for n in range(self.order + 1)])
+            # one int convolution over the product of the two common
+            # denominators, so that no term makes a Fraction and its gcd;
+            # all-int operands skip the scaling
+            N = self.order
+            da = db = 1
+            if Fraction in map(type, a):
+                da, (a,) = _over_one_denominator((a,))
+            if Fraction in map(type, b):
+                db, (b,) = _over_one_denominator((b,))
+            out = [0] * (N + 1)
+            for i, c in enumerate(a):
+                if c:
+                    for n, e in zip(range(i, N + 1), b):
+                        if e:
+                            out[n] += comb(n, i) * c * e
+            d = da * db
+            return TaylorEGF._raw([div_int(c, d) for c in out] if d > 1 else out)
         if isinstance(other, (int, Fraction, LaurentPoly)):
             return TaylorEGF([c * other if c else c for c in self.coeffs])
         return NotImplemented
@@ -326,25 +354,28 @@ class BivariateEGF:
         if isinstance(other, BivariateEGF):
             self._check(other)
             N = self.order
-            a, b = self.coeffs, other.coeffs
+            da, a = _over_one_denominator(self.coeffs)
+            db, b = _over_one_denominator(other.coeffs)
             # exact and commutative: the outer loop skips zeros, so give it
             # the operand with fewer nonzero entries
             if sum(map(bool, chain.from_iterable(b))) < sum(map(bool, chain.from_iterable(a))):
                 a, b = b, a
-            out = [[_ZERO] * (N + 1) for _ in range(N + 1)]
-            for m1 in range(N + 1):
-                row = a[m1]
-                for n1 in range(N + 1):
-                    c = row[n1]
+            # ints over the product of the two common denominators, so that
+            # no term makes a Fraction and its gcd
+            out = [[0] * (N + 1) for _ in range(N + 1)]
+            for m1, row in enumerate(a):
+                for n1, c in enumerate(row):
                     if not c:
                         continue
                     for m2 in range(N + 1 - m1):
-                        brow = b[m2]
-                        cm = comb(m1 + m2, m1)
-                        for n2 in range(N + 1 - n1):
-                            d = brow[n2]
-                            if d:
-                                out[m1 + m2][n1 + n2] += cm * comb(n1 + n2, n1) * c * d
+                        orow = out[m1 + m2]
+                        cm = comb(m1 + m2, m1) * c
+                        for n, e in zip(range(n1, N + 1), b[m2]):
+                            if e:
+                                orow[n] += cm * comb(n, n1) * e
+            d = da * db
+            if d > 1:
+                out = [[div_int(c, d) for c in row] for row in out]
             return BivariateEGF(out)
         if isinstance(other, (int, Fraction, LaurentPoly)):
             return BivariateEGF([[c * other if c else c for c in row] for row in self.coeffs])

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings
@@ -566,6 +567,44 @@ def test_dot_on_scalars_and_on_nothing():
     assert _assert_same_as_unfused([(0, 7, 7), (-1, 2, 3)]) == -6
     # a zero polynomial still makes the result a polynomial
     assert type(_assert_same_as_unfused([(1, 2, 3), (1, ZERO, 4)])) is LaurentPoly
+
+
+_scalars = st.one_of(st.just(0), st.integers(-40, 40),
+                    st.fractions(min_value=-40, max_value=40, max_denominator=36))
+
+
+@st.composite
+def _scalar_triples(draw):
+    """Triples (int k, a, b) of scalars whose sum is free, or made to cancel
+    to 0 or to an integer by one closing triple."""
+    triples = draw(st.lists(st.tuples(st.integers(-6, 6), _scalars, _scalars), max_size=12))
+    total = sum((Fraction(k) * a * b for k, a, b in triples), Fraction(0))
+    close = draw(st.sampled_from(["free", "zero", "integer"]))
+    if close == "zero":
+        triples.append((-1, as_coefficient(total), 1))
+    elif close == "integer":
+        triples.append((1, 1, as_coefficient(floor(total) - total)))
+    return triples
+
+
+@settings(max_examples=120, deadline=None)
+@given(_scalar_triples())
+def test_dot_over_scalars_is_the_fraction_sum_and_canonical(triples):
+    got = _assert_same_as_unfused(triples)
+    assert got == sum(k * a * b for k, a, b in triples)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_scalar_triples(), st.randoms(use_true_random=False))
+def test_dot_over_scalars_and_polynomials_is_the_unfused_sum(triples, rng):
+    # the scalar products are summed over one denominator and then added to
+    # the term dict of the polynomial ones
+    polys = [(rng.choice([-2, 1, 3]), _random_poly(rng), rng.choice([1, Fraction(2, 3), -5]))
+             for _ in range(rng.randrange(1, 4))]
+    mixed = triples + polys
+    rng.shuffle(mixed)
+    got = _assert_same_as_unfused(mixed)
+    assert type(got) is LaurentPoly
 
 
 def test_dot_raises_at_the_same_exponent_bound_as_mul():

@@ -10,6 +10,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from implicitseries.algebra import (
     LaurentPoly,
@@ -346,6 +348,130 @@ def test_series_product_picks_the_fused_kernel_by_either_operand(monkeypatch):
     numbers = TaylorEGF([Fraction(1, 2), 3, 0, Fraction(-2, 7)])
     numbers * numbers * one
     assert calls == []
+
+
+# -- products over one common denominator ------------------------------
+
+
+def _mul_oracle(a, b):
+    """The plain double loop, one Fraction per product and per partial sum."""
+    return [sum((comb(n, i) * a[i] * b[n - i] for i in range(n + 1)), Fraction(0))
+            for n in range(len(a))]
+
+
+def _box_mul_oracle(a, b):
+    n = len(a)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for m1 in range(n):
+        for n1 in range(n):
+            for m2 in range(n - m1):
+                for n2 in range(n - n1):
+                    out[m1 + m2][n1 + n2] += (comb(m1 + m2, m1) * comb(n1 + n2, n1)
+                                              * a[m1][n1] * b[m2][n2])
+    return out
+
+
+def _canonical_coefficient(c):
+    return (type(c) is int or (type(c) is Fraction and c.denominator != 1)
+            or type(c) is LaurentPoly)
+
+
+_INTS = st.one_of(st.just(0), st.integers(-30, 30))
+_FRACTIONS = st.fractions(min_value=-30, max_value=30, max_denominator=40)
+_MIXED = st.one_of(st.just(0), st.integers(-30, 30), _FRACTIONS)
+_POLYS = st.builds(lambda k, j, c: k * fsym(1, 0) + j * fsym(0, 1) ** -1 + c,
+                   st.integers(-3, 3), st.integers(-3, 3), _MIXED)
+
+
+@st.composite
+def _coefficients(draw, size):
+    """size coefficients, all ints, all Fractions, all zero or mixed, or an
+    int first and then polynomials and numbers, which the numeric product
+    scales by multiplication."""
+    kind = draw(st.sampled_from(["int", "fraction", "zero", "mixed", "int, then polynomials"]))
+    if kind == "zero":
+        return [0] * size
+    if kind == "int, then polynomials":
+        lead = draw(st.integers(1, size))
+        return ([0] * (lead - 1) + [draw(st.integers(-5, 5).filter(bool))]
+                + draw(st.lists(st.one_of(_POLYS, _MIXED), min_size=size - lead,
+                                max_size=size - lead)))
+    elements = {"int": _INTS, "fraction": _FRACTIONS, "mixed": _MIXED}[kind]
+    return draw(st.lists(elements, min_size=size, max_size=size))
+
+
+@st.composite
+def _series_pairs(draw):
+    size = draw(st.integers(1, 11))
+    return draw(_coefficients(size)), draw(_coefficients(size))
+
+
+@st.composite
+def _box_pairs(draw):
+    size = draw(st.integers(1, 5))
+    return tuple([draw(_coefficients(size)) for _ in range(size)] for _ in "ab")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_series_pairs())
+def test_series_product_is_the_plain_fraction_loop(pair):
+    a, b = (TaylorEGF(c) for c in pair)
+    got = a * b
+    assert list(got.coeffs) == _mul_oracle(a.coeffs, b.coeffs)
+    assert all(map(_canonical_coefficient, got.coeffs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_box_pairs())
+def test_box_product_is_the_plain_fraction_loop(pair):
+    a, b = (BivariateEGF(c) for c in pair)
+    got = a * b
+    assert [list(row) for row in got.coeffs] == _box_mul_oracle(a.coeffs, b.coeffs)
+    assert all(map(_canonical_coefficient, (c for row in got.coeffs for c in row)))
+
+
+def test_exact_rational_sums_make_no_fraction_arithmetic(monkeypatch):
+    # the series products and dot's scalar sum run on ints over one common
+    # denominator: no Fraction is multiplied or added, and only the results
+    # are built as Fractions
+    rng = random.Random(20)
+    a, b = (TaylorEGF(_rand_coeffs(rng, 20)) for _ in "ab")
+    box_a, box_b = (BivariateEGF(_rand_box(rng, 6)) for _ in "ab")
+
+    def number():
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 30)) if rng.randrange(3) else 7
+
+    triples = [(rng.randrange(-5, 6), number(), number()) for _ in range(40)]
+    want = (_mul_oracle(a.coeffs, b.coeffs), _box_mul_oracle(box_a.coeffs, box_b.coeffs),
+            sum(k * x * y for k, x, y in triples))
+    calls = []
+
+    def counted(name):
+        method = getattr(Fraction, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+        return staticmethod(wrapper) if name == "__new__" else wrapper
+
+    def run(operation):
+        calls.clear()
+        for name in ("__new__", "__mul__", "__rmul__", "__add__", "__radd__",
+                     "__sub__", "__rsub__", "__truediv__", "__rtruediv__"):
+            monkeypatch.setattr(Fraction, name, counted(name))
+        try:
+            return operation()
+        finally:
+            monkeypatch.undo()
+
+    got = run(lambda: a * b)
+    assert list(got.coeffs) == want[0]
+    assert set(calls) <= {"__new__"} and len(calls) <= 21
+    got = run(lambda: box_a * box_b)
+    assert [list(row) for row in got.coeffs] == want[1]
+    assert set(calls) <= {"__new__"} and len(calls) <= 7 * 7
+    got = run(lambda: dot(triples))
+    assert got == want[2] and calls == ["__new__"]
 
 
 # -- bivariate ------------------------------------------------------------
