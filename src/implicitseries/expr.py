@@ -250,26 +250,55 @@ def parse(src) -> Node:
     return node
 
 
+# the grammar level of each binary operator: 1 a sum, 2 a product
+_BINARY_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
 def to_text(node) -> str:
-    """Fully parenthesized form; reparsing it reproduces the tree exactly
-    when the tree is at most MAX_NESTING levels deep.
+    """The tree printed with only the parentheses the grammar requires;
+    reparsing it reproduces the tree exactly, and a tree that parse
+    returned prints no deeper than its source.  A negative literal, which
+    parse never makes, reparses as unary minus of its magnitude.
 
     Binary operators are spaced so that a printed division of literals
-    does not fuse back into a single rational token.
+    does not fuse back into a single rational token.  Runs of unary minus
+    and left spines of sums and of products are walked in loops, as in
+    eval_series, so that only parentheses deepen the recursion.
     """
-    if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{to_text(node.operand)})"
+    return _text(node, 1)
+
+
+def _text(node, need):
+    """node printed where the grammar expects a term of level need or
+    above: 1 a sum, 2 a product, 3 a unary, 4 a power, 5 an atom."""
     if isinstance(node, BinOp):
-        return f"({to_text(node.left)} {node.op} {to_text(node.right)})"
-    if isinstance(node, Pow):
-        return f"({to_text(node.base)}^{node.exponent})"
-    if isinstance(node, Call):
-        return f"{node.func}({to_text(node.arg)})"
-    raise TypeError(f"not an expression node: {node!r}")
+        level = _BINARY_LEVEL[node.op]
+        spine = []
+        while isinstance(node, BinOp) and _BINARY_LEVEL[node.op] == level:
+            spine.append(node)
+            node = node.left
+        # left-associative: the leftmost operand may be of the same level,
+        # every right operand must bind tighter
+        parts = [_text(node, level)]
+        parts += [f" {op.op} {_text(op.right, level + 1)}" for op in reversed(spine)]
+        text = "".join(parts)
+    elif isinstance(node, Neg):
+        negs = 0
+        while isinstance(node, Neg):
+            negs, node = negs + 1, node.operand
+        level, text = 3, "-" * negs + _text(node, 3)
+    elif isinstance(node, Pow):
+        level, text = 4, f"{_text(node.base, 5)}^{node.exponent}"
+    elif isinstance(node, Num):
+        # a negative literal prints with its sign, which binds as unary minus
+        level, text = 5 if node.value >= 0 else 3, str(node.value)
+    elif isinstance(node, Var):
+        level, text = 5, node.name
+    elif isinstance(node, Call):
+        level, text = 5, f"{node.func}({_text(node.arg, 1)})"
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    return f"({text})" if level < need else text
 
 
 def eval_series(node, order) -> BivariateEGF:

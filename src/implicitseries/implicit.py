@@ -12,9 +12,10 @@ y_1, y_2, ... of the unique formal solution are computed three ways:
 * newton    -- order-by-order elimination of the residual f(x, y(x)),
                which touches none of the combinatorial machinery.
 
-Direct and compose read the same cached inverse-relation series g_k and
-evaluate the same substitution, direct through Bell polynomials in the
-f(m, 0) column; newton is the independent cross-check.
+Direct and compose evaluate the same substitution, direct through Bell
+polynomials in the f(m, 0) column, and read the same inverse-relation
+series g_k: built once each, in increasing k, into one memo per expansion
+order on the table.  Newton is the independent cross-check.
 
 In rational mode the coefficients are exact scalars -- an int when
 integral, otherwise a Fraction; in symbolic mode they are Laurent
@@ -32,7 +33,6 @@ from .algebra import (
     LaurentPoly,
     as_coefficient,
     decode,
-    div_int,
     dot,
     fsym,
     invert_scalar,
@@ -181,56 +181,42 @@ def as_bivariate(table, order=None):
     )
 
 
-def _column_power(table, n, exponent, order):
-    """Table column n raised to an integer power, exact at least through
-    x^order; memoized on the table.
+def _column_power(table, powers, n, exponent, order):
+    """Table column n raised to a nonzero integer power, truncated at
+    x^order.
 
-    The cache keeps one series per (column, exponent), the longest built
-    so far, and builds it again only when a caller asks for more.  Apart
-    from its own recursion it is called by _inverse_coeff_series alone,
-    for the powers in g_k through the order of g_k, which direct and
-    compose read only through x^(N - k) (see inverse_taylor_coeff).  Both
-    ask for g_1, g_2, ... in turn, so a power is first built for the
-    smallest k it occurs in, at the largest order it is ever read to; for
-    example column1^-(2N-1) occurs only in g_N, where its constant term is
-    all that is read.  The result may run past x^order; callers that
-    multiply it truncate it first."""
-    key = ("colpow", n, exponent)
-    hit = table._cache.get(key)
-    if hit is not None and hit.order >= order:
-        return hit
-    if exponent == 0:
-        val = TaylorEGF.one(order)
-    elif exponent == 1:
-        val = column_series(table, n, order)
-    elif exponent == -1:
-        val = column_series(table, n, order).reciprocal()
-    else:
-        step = 1 if exponent > 1 else -1
-        val = (_column_power(table, n, exponent - step, order).truncate(order)
-               * _column_power(table, n, step, order).truncate(order))
-    table._cache[key] = val
-    return val
+    powers is the dict of column powers shared by the g_j of one
+    _inverse_coeff_series memo entry.  A power is built the first time it
+    is asked for, at that order, and stored; the orders asked of it
+    afterwards only fall, so the stored series is always long enough."""
+    val = powers.get((n, exponent))
+    if val is None:
+        if exponent == 1:
+            val = column_series(table, n, order)
+        elif exponent == -1:
+            val = column_series(table, n, order).reciprocal()
+        else:
+            step = 1 if exponent > 1 else -1
+            val = (_column_power(table, powers, n, exponent - step, order)
+                   * _column_power(table, powers, n, step, order))
+        powers[(n, exponent)] = val
+    return val.truncate(order)
 
 
 def inverse_taylor_coeff(table, k, l):
     """Taylor coefficient a(k, l): the l-th x-coefficient of the k-th
     EGF coefficient of the inverse relation x(y) attached to the table.
 
-    Read off the inverse-relation series g_k of _inverse_coeff_series,
-    built through x^max(l, N - k), N the table order.  The direct formula
-    pairs a(k, l) with B(n, k) at l = m - n, and k <= n <= m <= N, so it
-    never asks for l > N - k; building g_k through x^(N - k) from the
-    start means a later call of the formula never has to extend it, and
-    compose, which reads g_k through the same x^(N - k), finds it cached.
-    The max keeps calls with a larger l exact.
+    Read off g_k of _inverse_coeff_series at top = max(N, k + l), N the
+    table order: the entry direct and compose share when l <= N - k, and
+    one of its own, exact through x^l, otherwise.
     """
     if k < 1:
         raise TableError("k must be at least 1")
     if l < 0 or l > table.order or k > table.order:
         raise TableError("index outside the table order")
     ensure_valid(table)
-    return _inverse_coeff_series(table, k, max(l, table.order - k)).coeffs[l]
+    return _inverse_coeff_series(table, k, max(table.order, k + l)).coeffs[l]
 
 
 def y_coeff_direct(table, m):
@@ -238,11 +224,15 @@ def y_coeff_direct(table, m):
 
         y_m = sum_{n=1}^{m} C(m, n) sum_{k=1}^{n} (-1)^k a(k, m-n)
                                      B(n, k)(f(1,0), ..., f(n-k+1,0)).
+
+    a(k, l) is coefficient l of g_k, read at top = N, where g_k is exact
+    through x^(N-k) and m - n <= N - k.
     """
     ensure_valid(table)
     if not (1 <= m <= table.order):
         raise TableError("coefficient index outside the table order")
     args = tuple(table.entry(i, 0) for i in range(1, m + 1))
+    g = [_inverse_coeff_series(table, k, table.order).coeffs for k in range(1, m + 1)]
     # B(n, k) at column 0 is the same for every m, so its memo lives on
     # the table
     bell_memo = table._cache.setdefault("bell", {})
@@ -250,7 +240,7 @@ def y_coeff_direct(table, m):
     for n in range(1, m + 1):
         c = comb(m, n)
         for k in range(1, n + 1):
-            a = inverse_taylor_coeff(table, k, m - n)
+            a = g[k - 1][m - n]
             if a:
                 terms.append((-c if k % 2 else c, a, bell_eval(n, k, args, bell_memo)))
     return _in_mode(table, dot(terms))
@@ -319,9 +309,9 @@ def expand_direct(table, order=None):
     return ExpansionResult(order, "direct", ys, diags)
 
 
-def _inverse_coeff_series(table, k, order):
+def _inverse_coeff_series(table, k, top):
     """The k-th EGF coefficient g_k of the inverse relation as a series in
-    x, exact at least through x^order; memoized on the table.
+    x, exact through x^min(top - k, N), N the table order.
 
     g_k is the first-kind Stirling polynomial of index (k, 1) evaluated at
     the column series: for each multiplicity vector r of a partition of a
@@ -333,30 +323,29 @@ def _inverse_coeff_series(table, k, order):
     low degree has a power with trailing zeros, which the zero-skipping
     series product passes over.
 
-    Like _column_power, the cache keeps one series per k, the longest
-    built so far, and builds it again only when a caller asks for more;
-    the result may run past x^order.  The order need not be the table's:
-    compose asks for g_k only through x^(N-k), because it substitutes
-    -f(x,0), whose k-th power has valuation at least k, so no coefficient of
-    g_k above x^(N-k) reaches x^N.  Each coefficient is one `dot` per batch
-    of 32 partitions, so that no more products than that are held at once."""
-    key = ("invseries", k)
-    hit = table._cache.get(key)
-    if hit is not None and hit.order >= order:
-        return hit
-    acc = [_ZERO] * (order + 1)
-    terms = inverse_partition_terms(k)
-    while batch := list(islice(terms, 32)):
-        prods = []
-        for r, weight in batch:
-            prod = _column_power(table, 1, r[0] - 2 * k + 1, order).truncate(order)
-            for nu in range(2, k + 1):
-                if r[nu - 1]:
-                    prod = prod * _column_power(table, nu, r[nu - 1], order).truncate(order)
-            prods.append((weight, prod.coeffs))
-        acc = [dot([(1, 1, acc[j])] + [(w, 1, p[j]) for w, p in prods]) for j in range(order + 1)]
-    table._cache[key] = acc = TaylorEGF(acc)
-    return acc
+    The table keeps one memo entry per top: the g_j built so far and the
+    column powers they share.  A call builds g_1, g_2, ... up to g_k in
+    turn, once each, so the order asked of a power only falls and its
+    first build is the longest ever read.  Each coefficient is one `dot`
+    per batch of 32 partitions, so that no more products than that are
+    held at once."""
+    gs, powers = table._cache.setdefault(("inverse", top), ([], {}))
+    while len(gs) < k:
+        j = len(gs) + 1
+        order = min(top - j, table.order)
+        acc = [_ZERO] * (order + 1)
+        terms = inverse_partition_terms(j)
+        while batch := list(islice(terms, 32)):
+            prods = []
+            for r, weight in batch:
+                prod = _column_power(table, powers, 1, r[0] - 2 * j + 1, order)
+                for nu in range(2, j + 1):
+                    if r[nu - 1]:
+                        prod = prod * _column_power(table, powers, nu, r[nu - 1], order)
+                prods.append((weight, prod.coeffs))
+            acc = [dot([(1, 1, acc[i])] + [(w, 1, p[i]) for w, p in prods]) for i in range(order + 1)]
+        gs.append(TaylorEGF(acc))
+    return gs[k - 1]
 
 
 def expand_compose(table, order=None):
@@ -377,7 +366,7 @@ def expand_compose(table, order=None):
     v = next((m for m, c in enumerate(phi0.coeffs) if c), 0)
     box = [[_ZERO] * (order + 1) for _ in range(order + 1)]
     for k in range(1, order // v + 1 if v else 1):
-        g = _inverse_coeff_series(table, k, order - k).coeffs
+        g = _inverse_coeff_series(table, k, order).coeffs
         for m in range(order - k + 1):
             box[m][k] = g[m]
     total = BivariateEGF(box).substitute_y(-phi0)
@@ -403,9 +392,11 @@ def expand_newton(table, order=None):
 
         y_m = -(that sum without f(0,1) u_m) / f(0,1).
 
-    The P(n, j) are kept online, one column j at a time: for n >= 2,
+    P(n, m) is the partial Bell polynomial B(m, n)(u_1, u_2, ...).  The
+    P(n, j) are kept online, one column j at a time: for n >= 2, the
+    division-free recurrence
 
-        P(n, m) = (1/n) sum_{i=1}^{m-n+1} C(m, i) u_i P(n-1, m-i)
+        P(n, m) = sum_{i=1}^{m-n+1} C(m-1, i-1) u_i P(n-1, m-i)
 
     reads only u_1..u_{m-1}, so column m is complete before y_m is solved
     for.  Each product is made once, about N^3/3 of them in all.  Ends by
@@ -423,9 +414,8 @@ def expand_newton(table, order=None):
         t0 = time.perf_counter()
         for n in range(2, m + 1):
             prev = pw[n - 1]
-            s = dot([(comb(m, i), u[i], prev[m - i]) for i in range(1, m - n + 2)
-                     if u[i] and prev[m - i]])
-            pw[n].append(div_int(s, n))
+            pw[n].append(dot([(comb(m - 1, i - 1), u[i], prev[m - i])
+                              for i in range(1, m - n + 2) if u[i] and prev[m - i]]))
         u.append(_ZERO)  # u_m is unknown yet, so f(0,1) u_m drops out
         # a generator, so that no list of about m^2/2 triples is held
         s = dot((comb(m, k), f.coeffs[k][n], pw[n][m - k]) for k in range(m + 1)

@@ -195,6 +195,21 @@ def test_check_then_expand(capsys):
     assert "ok" in out and '"y"' in out
 
 
+def test_census_15_reports_the_published_count(capsys):
+    code, out, err = run(capsys, "--census-15")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "census of the generic y_15: 91159 monomials"
+    assert lines[1].startswith("computed in ") and lines[1].endswith(" s")
+    assert lines[2:] == ["matches the published count (91159)"]
+    code, out, err = run(capsys, "--census-15", "--check")
+    assert (code, err) == (0, "")
+    checked = out.splitlines()
+    assert checked[:2] == ["orthogonality relations through n=8: ok",
+                           "stirling coefficient sums through n=10: ok"]
+    assert checked[2] == lines[0] and checked[4:] == lines[2:]
+
+
 # -- input files ---------------------------------------------------------------
 
 

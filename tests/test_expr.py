@@ -204,6 +204,49 @@ def test_print_parse_fixpoint_on_sources():
         assert parse(to_text(a)) == a
 
 
+def _nested(template, depth):
+    src = "y"
+    for _ in range(depth):
+        src = template.format(src)
+    return src
+
+
+@pytest.mark.parametrize("src", [
+    "-" * 150 + "y",
+    "+".join(["y"] * 151),
+    _nested("({} + y) * y", 60),
+    "-" * 3000 + "y",
+    "-".join(["y"] * 3000),
+    "/".join(["x"] * 3000),
+    "y" + " * -y^2" * 3000,
+    _nested("exp({})", MAX_NESTING),
+    _nested("-({} + y)^2 * y", MAX_NESTING),
+], ids=["minus150", "sum151", "nested60", "minus3000", "difference3000",
+        "quotient3000", "product3000", "calls100", "mixed100"])
+def test_printed_text_of_a_parsed_tree_parses_back(src):
+    # texts, not trees, are compared: == on a tree this deep recurses
+    text = to_text(parse(src))
+    assert to_text(parse(text)) == text
+    # only the parentheses the grammar requires, so never more than the source
+    assert text.count("(") <= src.count("(")
+
+
+def test_to_text_prints_only_the_parentheses_the_grammar_requires():
+    for src, want in [("((y+y)*y+y)*y", "((y + y) * y + y) * y"),
+                      ("x-(y-x)", "x - (y - x)"), ("(x-y)-x", "x - y - x"),
+                      ("x/(y*x)", "x / (y * x)"), ("(x/y)*x", "x / y * x"),
+                      ("-(x*y)", "-(x * y)"), ("(-x)*y", "-x * y"), ("x*(-y)", "x * -y"),
+                      ("(-x)^2", "(-x)^2"), ("-(x^2)", "-x^2"), ("(x^2)^3", "(x^2)^3"),
+                      ("(1/2)^2", "1/2^2"), ("(1)/(2)", "1 / 2"), ("exp((x+y))", "exp(x + y)")]:
+        assert to_text(parse(src)) == want, src
+    # parse makes no negative literal, but a tree built directly may hold
+    # one: its sign binds as unary minus, so the text keeps its value
+    for tree, want in [(Pow(Num(Fraction(-1)), 2), "(-1)^2"),
+                       (BinOp("-", Var("y"), Num(Fraction(-1, 2))), "y - -1/2")]:
+        assert to_text(tree) == want
+        assert eval_series(parse(want), 3) == eval_series(tree, 3)
+
+
 # -- evaluation against the differentiation oracle ---------------------------
 
 

@@ -264,24 +264,28 @@ def test_compose_builds_each_g_k_only_through_n_minus_k(monkeypatch):
     requests = []
     inverse_coeff_series = implicit._inverse_coeff_series
 
-    def recording(table, k, order):
-        requests.append((k, order))
-        return inverse_coeff_series(table, k, order)
+    def recording(table, k, top):
+        g = inverse_coeff_series(table, k, top)
+        requests.append((k, top, g.order))
+        return g
 
     monkeypatch.setattr(implicit, "_inverse_coeff_series", recording)
     dense = _random_table(random.Random(808), 6, zero_chance=0.0)
     for table, order in ((CoeffTable.symbolic(6), 6), (dense, 4)):
         requests.clear()
         got = expand_compose(table, order).y
-        assert requests == [(k, order - k) for k in range(1, order + 1)]
+        assert requests == [(k, order, order - k) for k in range(1, order + 1)]
+        built, _ = table._cache[("inverse", order)]
+        assert [g.order for g in built] == [order - k for k in range(1, order + 1)]
         assert got == expand_direct(table, order).y
     # (-f(x,0))^k has valuation 3k when f(x,0) = -x^3, so only g_1 and g_2
     # reach x^7; a zero f(x,0) column needs no g_k at all
-    for src, want in (("y*exp(y) + x*y - x^3", [(1, 6), (2, 5)]), ("y*exp(x + y)", [])):
+    for src, want in (("y*exp(y) + x*y - x^3", [(1, 7, 6), (2, 7, 5)]), ("y*exp(x + y)", [])):
         table = table_from_expr(src, 7)
         requests.clear()
         got = expand_compose(table, 7).y
         assert requests == want
+        assert len(table._cache.get(("inverse", 7), ([], {}))[0]) == len(want)
         assert got == expand_direct(table, 7).y
 
 
@@ -303,22 +307,22 @@ def test_compose_sums_through_one_substitution(monkeypatch):
 
 
 def test_direct_builds_the_top_column_power_only_to_its_constant_term():
-    # column1^-(2N-1) occurs only in a(N, l), which y_m reads at l = 0
+    # column1^-(2N-1) occurs only in g_N, which y_m reads at x^0
     order = 6
     t = CoeffTable.symbolic(order)
     expand_direct(t)
-    assert t._cache[("colpow", 1, -(2 * order - 1))].order == 0
+    _, powers = t._cache[("inverse", order)]
+    assert powers[(1, -(2 * order - 1))].order == 0
 
 
 def test_direct_then_compose_build_each_column_power_once(monkeypatch):
     builds = {}
     column_power = implicit._column_power
 
-    def counting(table, n, exponent, order):
-        key = ("colpow", n, exponent)
-        before = table._cache.get(key)
-        val = column_power(table, n, exponent, order)
-        if table._cache.get(key) is not before:
+    def counting(table, powers, n, exponent, order):
+        before = powers.get((n, exponent))
+        val = column_power(table, powers, n, exponent, order)
+        if powers.get((n, exponent)) is not before:
             builds[(n, exponent)] = builds.get((n, exponent), 0) + 1
         return val
 
@@ -331,45 +335,89 @@ def test_direct_then_compose_build_each_column_power_once(monkeypatch):
         assert builds and set(builds.values()) == {1}, builds
 
 
-def test_column_powers_grow_on_demand():
+def test_inverse_taylor_coeff_is_exact_in_any_call_order():
+    # a(k, l) above l = N - k reads g_k from its own memo entry at
+    # top = k + l, so no call order changes what another call reads
+    order = 6
+    calls = [(6, 0), (5, 0), (6, 3), (5, 4)] + [(k, order) for k in (1, 2, 3)]
+    fresh = {(k, l): inverse_taylor_coeff(CoeffTable.symbolic(order), k, l)
+             for k, l in calls}
+    for seq in (calls, calls[::-1], sorted(calls, key=lambda c: (c[1], -c[0]))):
+        t = CoeffTable.symbolic(order)
+        for k, l in seq:
+            assert inverse_taylor_coeff(t, k, l) == fresh[(k, l)], (k, l)
+        for k, l in seq:
+            assert inverse_taylor_coeff(t, k, l) == fresh[(k, l)], (k, l)
+        tops = {key[1] for key in t._cache if key[0] == "inverse"}
+        assert tops == {max(order, k + l) for k, l in calls}
+
+
+def test_each_g_k_is_exact_through_top_minus_k_at_most_n():
     order = 6
     t = CoeffTable.symbolic(order)
 
-    def built_order(k):
-        return t._cache[("colpow", 1, -(2 * k - 1))].order
-
-    calls = [(6, 0), (5, 0)]
-    for k, l in calls:
-        inverse_taylor_coeff(t, k, l)
-    assert (built_order(6), built_order(5)) == (0, 1)
-    # l above N - k extends the powers of a(k, .) to x^l
-    calls += [(6, 3), (5, 4)]
-    for k, l in calls[-2:]:
-        inverse_taylor_coeff(t, k, l)
-    assert (built_order(6), built_order(5)) == (3, 4)
-    calls += [(k, order) for k in (1, 2, 3)]
-    for k, l in calls[-3:]:
-        inverse_taylor_coeff(t, k, l)
-    assert built_order(1) == built_order(2) == built_order(3) == order
-    fresh = CoeffTable.symbolic(order)
-    for k, l in reversed(calls):
-        assert inverse_taylor_coeff(t, k, l) == inverse_taylor_coeff(fresh, k, l), (k, l)
-
-
-def test_inverse_coeff_series_keeps_one_series_per_k():
-    order = 6
-    t = CoeffTable.symbolic(order)
-
-    def series_orders():
-        return {key[1]: v.order for key, v in t._cache.items() if key[0] == "invseries"}
+    def series_orders(top):
+        return [g.order for g in t._cache[("inverse", top)][0]]
 
     direct = expand_direct(t).y
-    assert series_orders() == {k: order - k for k in range(1, order + 1)}
-    # l above N - k rebuilds g_k in place, longer
+    assert series_orders(order) == [order - k for k in range(1, order + 1)]
     for k in range(1, order + 1):
         inverse_taylor_coeff(t, k, order)
-    assert series_orders() == {k: order for k in range(1, order + 1)}
+    for k in range(1, order + 1):
+        top = order + k
+        assert series_orders(top) == [min(top - j, order) for j in range(1, k + 1)]
+    assert series_orders(order) == [order - k for k in range(1, order + 1)]
     assert expand_compose(t).y == direct
+
+
+def test_direct_makes_no_inverse_taylor_coeff_call(monkeypatch):
+    # direct reads each g_k from the memo once per coefficient, not a(k, l)
+    # through the public, checked accessor once per term
+    calls = []
+    inverse_taylor = implicit.inverse_taylor_coeff
+
+    def recording(table, k, l):
+        calls.append((k, l))
+        return inverse_taylor(table, k, l)
+
+    monkeypatch.setattr(implicit, "inverse_taylor_coeff", recording)
+    t = CoeffTable.symbolic(6)
+    assert expand_direct(t).y == expand_newton(t).y
+    assert calls == []
+
+
+@pytest.mark.parametrize("table", [
+    CoeffTable.symbolic(4),
+    _random_table(random.Random(1212), 6, zero_chance=0.0),
+], ids=["symbolic4", "dense6"])
+def test_the_inverse_memo_stays_bounded_and_replaces_nothing(table):
+    # direct, compose at every order, then every public a(k, l): at most
+    # one memo entry per top in 1..2N besides the Bell memo, and a g_k or a
+    # column power, once held, is never replaced
+    order = table.order
+    seen = {}
+
+    def snapshot():
+        for key, entry in table._cache.items():
+            if key == "bell":
+                continue
+            gs, powers = entry
+            held = [("g", j) for j in range(len(gs))] + list(powers)
+            values = list(gs) + list(powers.values())
+            for name, value in zip(held, values):
+                assert seen.setdefault((key, name), value) is value, (key, name)
+
+    expand_direct(table)
+    snapshot()
+    for m in range(1, order + 1):
+        expand_compose(table, m)
+        snapshot()
+    for k in range(1, order + 1):
+        for l in range(order + 1):
+            inverse_taylor_coeff(table, k, l)
+            snapshot()
+    assert len(table._cache) <= 2 * order + 1
+    assert {key[1] for key in table._cache if key != "bell"} <= set(range(1, 2 * order + 1))
 
 
 def test_scaling_in_x():
@@ -496,10 +544,10 @@ def test_direct_sums_every_product_in_one_fused_pass(monkeypatch):
     # a(k, l) * B(n, k), the C(m, n) scaling, the column-power products and
     # the sums behind g_k and y_m all go through algebra.dot: on the way to
     # y_m no polynomial is added to another or scaled by a number on its own.
-    # The one reciprocal of column 1, a plain recurrence run once per table,
-    # is made beforehand.
+    # g_1, the one reciprocal of column 1, a plain recurrence run once per
+    # memo entry, is built beforehand.
     table = CoeffTable.symbolic(8)
-    implicit._column_power(table, 1, -1, 8)
+    implicit._inverse_coeff_series(table, 1, 8)
     calls = []
 
     def refused(name, operand_is_ok):
