@@ -37,17 +37,20 @@ PUBLISHED_CENSUS_15 = 91159
 
 # The largest --order each method accepts, by mode, so that an oversized
 # order fails at once instead of running for hours.  Measured on a
-# shared 2-vCPU Xeon host under Python 3.11: rational direct at N=40 takes
-# about 12 s on the Lambert table and 36 s on the dense
-# log(1+x+y)*exp(x*y)+y table, growing about 12x per 10 orders, and
-# compose after it 0.003 s and 0.02 s; rational newton at N=150 takes
-# 20 s and 29 MB on the dense table.  Symbolic
+# shared 2-vCPU Xeon host under Python 3.11, the whole CLI run with
+# --method all: on the dense log(1+x+y)*exp(x*y)+y table 3.9 s at N=60
+# and 15 s at N=80, nearly all of it the inverse-relation series of
+# direct, growing about 2x per 10 orders (22 s for them at N=90); on the
+# Lambert table 0.5 s at N=60 and 0.8 s at N=80.  Growing denominators
+# cost more: (3+x-y)^-3-1/27+y at N=80 takes 20 s to build and 23 s more
+# for compose.  Rational newton at
+# N=150 takes 20 s and 29 MB on the dense table.  Symbolic
 # output has about 1.85x more monomials per order: at N=15 newton takes
 # 21 s and 0.4 GB, and direct at N=18 already 30 s, 2.4 GB and a 1 GB
 # JSON document.  --method all takes the least ceiling of the three.
 _ORDER_CEILINGS = {
-    ("rational", "direct"): 40,
-    ("rational", "compose"): 40,
+    ("rational", "direct"): 80,
+    ("rational", "compose"): 80,
     ("rational", "newton"): 150,
     ("symbolic", "direct"): 15,
     ("symbolic", "compose"): 15,

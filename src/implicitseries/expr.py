@@ -306,36 +306,41 @@ def eval_series(node, order) -> BivariateEGF:
 
     Division, exp and log inherit the series-domain requirements (unit
     constant term; zero or unit constant term respectively) and raise the
-    series errors when violated.  Chains of minuses, sums and products are
-    walked in loops, so that only parentheses deepen the recursion.
+    series errors when violated.  The path down through minuses and left
+    operands, in any mix, is walked in one loop with an explicit stack of
+    the steps to apply on the way back, so that only right operands,
+    parentheses, calls and powers deepen the recursion.
     """
-    if isinstance(node, Num):
-        return BivariateEGF.const(node.value, order)
-    if isinstance(node, Var):
-        return BivariateEGF.var_x(order) if node.name == "x" else BivariateEGF.var_y(order)
-    if isinstance(node, Neg):
-        negs = 0
-        while isinstance(node, Neg):
-            negs, node = negs + 1, node.operand
-        val = eval_series(node, order)
-        return -val if negs % 2 else val
-    if isinstance(node, BinOp):
-        spine = []
-        while isinstance(node, BinOp):
-            spine.append(node)
+    pending = []  # a BinOp, or True for a minus; two minuses cancel
+    while isinstance(node, (Neg, BinOp)):
+        if isinstance(node, BinOp):
+            pending.append(node)
             node = node.left
-        a = eval_series(node, order)
-        for op in reversed(spine):
-            b = eval_series(op.right, order)
-            a = (a + b if op.op == "+" else a - b if op.op == "-"
-                 else a * b if op.op == "*" else a * b.reciprocal())
-        return a
-    if isinstance(node, Pow):
-        return eval_series(node.base, order).pow_int(node.exponent)
-    if isinstance(node, Call):
+        else:
+            if pending and pending[-1] is True:
+                pending.pop()
+            else:
+                pending.append(True)
+            node = node.operand
+    if isinstance(node, Num):
+        a = BivariateEGF.const(node.value, order)
+    elif isinstance(node, Var):
+        a = BivariateEGF.var_x(order) if node.name == "x" else BivariateEGF.var_y(order)
+    elif isinstance(node, Pow):
+        a = eval_series(node.base, order).pow_int(node.exponent)
+    elif isinstance(node, Call):
         inner = eval_series(node.arg, order)
-        return inner.exp() if node.func == "exp" else inner.log()
-    raise TypeError(f"not an expression node: {node!r}")
+        a = inner.exp() if node.func == "exp" else inner.log()
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    for op in reversed(pending):
+        if op is True:
+            a = -a
+            continue
+        b = eval_series(op.right, order)
+        a = (a + b if op.op == "+" else a - b if op.op == "-"
+             else a * b if op.op == "*" else a * b.reciprocal())
+    return a
 
 
 def table_from_expr(src, order) -> CoeffTable:

@@ -15,7 +15,10 @@ y_1, y_2, ... of the unique formal solution are computed three ways:
 Direct and compose evaluate the same substitution, direct through Bell
 polynomials in the f(m, 0) column, and read the same inverse-relation
 series g_k: built once each, in increasing k, into one memo per expansion
-order on the table.  Newton is the independent cross-check.
+order on the table.  Symbolic tables build g_k by the paper's partition
+sum, one product of column powers per partition of k-1; rational tables
+by Lagrange inversion with Miller's power recurrence, O(k^2) series
+products.  Newton is the independent cross-check.
 
 In rational mode the coefficients are exact scalars -- an int when
 integral, otherwise a Fraction; in symbolic mode they are Laurent
@@ -27,12 +30,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from math import comb
+from math import comb, gcd, lcm
 
 from .algebra import (
     LaurentPoly,
     as_coefficient,
     decode,
+    div_int,
     dot,
     fsym,
     invert_scalar,
@@ -41,7 +45,7 @@ from .combinatorics import (
     bell_eval,
     inverse_partition_terms,
 )
-from .series import BivariateEGF, TaylorEGF
+from .series import BivariateEGF, TaylorEGF, _over_one_denominator
 
 _ZERO = 0
 
@@ -185,8 +189,9 @@ def _column_power(table, powers, n, exponent, order):
     """Table column n raised to a nonzero integer power, truncated at
     x^order.
 
-    powers is the dict of column powers shared by the g_j of one
-    _inverse_coeff_series memo entry.  A power is built the first time it
+    powers is the dict of column powers (and of _lagrange_g's column
+    ratios) shared by the g_j of one _inverse_coeff_series memo entry.
+    A power is built the first time it
     is asked for, at that order, and stored; the orders asked of it
     afterwards only fall, so the stored series is always long enough."""
     val = powers.get((n, exponent))
@@ -309,42 +314,114 @@ def expand_direct(table, order=None):
     return ExpansionResult(order, "direct", ys, diags)
 
 
+def _partition_g(table, powers, j, order):
+    """g_j through x^order by the first-kind Stirling polynomial of index
+    (j, 1) evaluated at the column series: for each multiplicity vector r
+    of a partition of a (2j-2)-set into j-1 blocks, its signed weight times
+
+        (column 1)^(r_1 - 2j + 1) * (column 2)^(r_2) * ... * (column j)^(r_j),
+
+    slots with zero exponent skipped.  A column that is a polynomial of
+    low degree has a power with trailing zeros, which the zero-skipping
+    series product passes over.  Each coefficient is one `dot` per batch
+    of 32 partitions, so that no more products than that are held at once;
+    p(j-1) products in all."""
+    acc = [_ZERO] * (order + 1)
+    terms = inverse_partition_terms(j)
+    while batch := list(islice(terms, 32)):
+        prods = []
+        for r, weight in batch:
+            prod = _column_power(table, powers, 1, r[0] - 2 * j + 1, order)
+            for nu in range(2, j + 1):
+                if r[nu - 1]:
+                    prod = prod * _column_power(table, powers, nu, r[nu - 1], order)
+            prods.append((weight, prod.coeffs))
+        acc = [dot([(1, 1, acc[i])] + [(w, 1, p[i]) for w, p in prods]) for i in range(order + 1)]
+    return TaylorEGF(acc)
+
+
+def _lagrange_g(table, powers, j, order):
+    """g_j through x^order by Lagrange inversion, for rational tables.
+
+    With c_n column n, A = sum_i c_(i+1) y^i / (i+1)! is phi(y) / y for
+    phi(y) = f(x, y) - f(x, 0), and g_j = (j-1)! [y^(j-1)] A^(-j) (Gessel,
+    "Lagrange inversion", JCTA 144, 2016).  J. C. P. Miller's power
+    recurrence (Knuth, TAOCP Vol. 2, 4.7) gives q_n = n! [y^n] A^(-j) from
+    q_0 = c_1^(-j) and
+
+        q_n = (1/n) sum_{i=1}^{n} ((1-j) i - n) C(n, i) b_i q_(n-i),
+        b_i = c_(i+1) / ((i+1) c_1),
+
+    and g_j = q_(j-1): O(j^2) series products, none for a zero b_i.  Each
+    b_i and q_n is held as (d, ints over d), d the least common
+    denominator, so the sums run on ints and make no Fraction; b_i keeps
+    only its nonzero (l, coefficient) pairs, in powers under ("ratio", i),
+    built at the first (longest) order asked, as the powers are."""
+    b = []
+    for i in range(1, j):
+        ratio = powers.get(("ratio", i))
+        if ratio is None:
+            col = column_series(table, i + 1, order) * _column_power(table, powers, 1, -1, order)
+            d, (row,) = _over_one_denominator(((col / (i + 1)).coeffs,))
+            ratio = powers[("ratio", i)] = (d, [(l, c) for l, c in enumerate(row) if c])
+        b.append(ratio)
+    d, (row,) = _over_one_denominator((_column_power(table, powers, 1, -j, order).coeffs,))
+    q = [(d, row)]
+    binom = [[comb(m, l) for l in range(m + 1)] for m in range(order + 1)]
+    for n in range(1, j):
+        terms = [(((1 - j) * i - n) * comb(n, i), b[i - 1], q[n - i])
+                 for i in range(1, n + 1) if b[i - 1][1]]
+        den = lcm(*[e * d for _, (e, _), (d, _) in terms])
+        terms = [(w * (den // (e * d)), bi, qi) for w, (e, bi), (d, qi) in terms]
+        row = []
+        for m in range(order + 1):
+            cm, s = binom[m], 0
+            for w, bi, qi in terms:
+                t = 0
+                for l, c in bi:
+                    if l > m:
+                        break
+                    if qi[m - l]:
+                        t += cm[l] * c * qi[m - l]
+                s += w * t
+            row.append(s)
+        g = gcd(n * den, *row)
+        q.append((n * den // g, [c // g for c in row]))
+    d, row = q[j - 1]
+    return TaylorEGF._raw([div_int(c, d) for c in row])
+
+
 def _inverse_coeff_series(table, k, top):
     """The k-th EGF coefficient g_k of the inverse relation as a series in
     x, exact through x^min(top - k, N), N the table order.
 
-    g_k is the first-kind Stirling polynomial of index (k, 1) evaluated at
-    the column series: for each multiplicity vector r of a partition of a
-    (2k-2)-set into k-1 blocks, its signed weight times
-
-        (column 1)^(r_1 - 2k + 1) * (column 2)^(r_2) * ... * (column k)^(r_k),
-
-    slots with zero exponent skipped.  A column that is a polynomial of
-    low degree has a power with trailing zeros, which the zero-skipping
-    series product passes over.
+    g_k is the k-th EGF coefficient of the reversion in y of
+    f(x, y) - f(x, 0), over series in x.  Symbolic tables build it by the
+    paper's partition sum (`_partition_g`), whose size is that of g_k;
+    rational tables by Lagrange inversion with Miller's power recurrence
+    (`_lagrange_g`), O(k^2) series products where the partition sum makes
+    p(k-1), but whose intermediates are far larger than g_k when the
+    entries are symbols.
 
     The table keeps one memo entry per top: the g_j built so far and the
     column powers they share.  A call builds g_1, g_2, ... up to g_k in
     turn, once each, so the order asked of a power only falls and its
-    first build is the longest ever read.  Each coefficient is one `dot`
-    per batch of 32 partitions, so that no more products than that are
-    held at once."""
-    gs, powers = table._cache.setdefault(("inverse", top), ([], {}))
-    while len(gs) < k:
-        j = len(gs) + 1
-        order = min(top - j, table.order)
-        acc = [_ZERO] * (order + 1)
-        terms = inverse_partition_terms(j)
-        while batch := list(islice(terms, 32)):
-            prods = []
-            for r, weight in batch:
-                prod = _column_power(table, powers, 1, r[0] - 2 * j + 1, order)
-                for nu in range(2, j + 1):
-                    if r[nu - 1]:
-                        prod = prod * _column_power(table, powers, nu, r[nu - 1], order)
-                prods.append((weight, prod.coeffs))
-            acc = [dot([(1, 1, acc[i])] + [(w, 1, p[i]) for w, p in prods]) for i in range(order + 1)]
-        gs.append(TaylorEGF(acc))
+    first build is the longest ever read.  Below the table order (compose
+    at M < N after direct), an entry of a larger top that holds g_k is
+    exact through x^(top - k) as well, so g_k is read from it truncated
+    and no entry is opened for this top; above it, each a(k, l) of
+    inverse_taylor_coeff keeps its own entry."""
+    gs = table._cache.get(("inverse", top), ((),))[0]
+    if len(gs) < k:
+        if top < table.order:
+            for key, entry in table._cache.items():
+                if key != "bell" and key[1] > top and len(entry[0]) >= k:
+                    return entry[0][k - 1].truncate(top - k)
+        gs, powers = table._cache.setdefault(("inverse", top), ([], {}))
+        build = _lagrange_g if table.mode == "rational" else _partition_g
+        while len(gs) < k:
+            j = len(gs) + 1
+            gs.append(build(table, powers, j, min(top - j, table.order)))
     return gs[k - 1]
 
 

@@ -102,6 +102,18 @@ def test_chains_of_any_length_parse_and_evaluate_in_loops():
     assert eval_series(terms, 2) == eval_series(parse("5000*y"), 2)
 
 
+def test_alternating_minus_and_sum_chains_evaluate_in_one_loop():
+    # parse makes this shape only through parentheses, which MAX_NESTING
+    # bounds, so it is built from the node classes: 2000 levels of
+    # -(node + y), 4000 nodes deep, each level -(-(v + y) + y) = v apart
+    node = Var("x")
+    for _ in range(2000):
+        node = Neg(BinOp("+", node, Var("y")))
+    assert eval_series(node, 2) == BivariateEGF.var_x(2)
+    odd = Neg(BinOp("+", node, Var("y")))
+    assert eval_series(odd, 2) == eval_series(parse("-x-y"), 2)
+
+
 def test_nesting_and_towers_stop_at_max_nesting():
     deepest = "(" * MAX_NESTING + "y" + ")" * MAX_NESTING
     assert parse(deepest) == Var("y")

@@ -420,6 +420,83 @@ def test_the_inverse_memo_stays_bounded_and_replaces_nothing(table):
     assert {key[1] for key in table._cache if key != "bell"} <= set(range(1, 2 * order + 1))
 
 
+@pytest.mark.parametrize("table", [CoeffTable.symbolic(6), builtin_table("lambert", 8)],
+                         ids=["symbolic6", "lambert8"])
+def test_compose_below_the_table_order_reads_direct_s_g_k(monkeypatch, table):
+    # the entry at top = N holds each g_k through x^(N-k), which covers
+    # what compose at N-1 reads, so compose builds no g_k and opens no entry
+    order = table.order
+    direct = expand_direct(table).y
+    keys = set(table._cache)
+    builds = []
+    for name in ("_partition_g", "_lagrange_g"):
+        monkeypatch.setattr(implicit, name, lambda *args: builds.append(args))
+    assert expand_compose(table, order - 1).y == direct[:-1]
+    assert builds == [] and set(table._cache) == keys
+
+
+_column_kinds = st.sampled_from(["zero", "constant", "polynomial", "dense"])
+
+
+@st.composite
+def _lagrange_tables(draw):
+    """Rational tables whose columns are zero, constant, polynomials of low
+    degree or dense in x; column 1 starts with a unit such as 2 or 1/3 and
+    need not be constant."""
+    size = draw(st.integers(1, 6))
+    entries = {(m, 0): draw(_small_rationals) for m in range(1, size + 1)}
+    for n in range(1, size + 1):
+        kind = draw(_column_kinds)
+        top = {"zero": -1, "constant": 0, "dense": size}.get(kind)
+        if top is None:
+            top = draw(st.integers(1, max(1, size // 2)))
+        for m in range(top + 1):
+            entries[(m, n)] = draw(_sparse_rationals)
+    entries[(0, 1)] = draw(st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-5, 2)]))
+    return CoeffTable(size, entries, "rational")
+
+
+@settings(max_examples=80, deadline=None)
+@given(_lagrange_tables(), st.integers(0, 3))
+def test_lagrange_g_matches_the_partition_sum(t, extra):
+    # every g_j of one memo entry, built in turn with falling orders as
+    # _inverse_coeff_series builds them, at top = N and above
+    top = t.order + extra
+    lagrange, partition = {}, {}
+    for j in range(1, t.order + 1):
+        order = min(top - j, t.order)
+        got = implicit._lagrange_g(t, lagrange, j, order)
+        want = implicit._partition_g(t, partition, j, order)
+        _assert_same_canonical(list(got.coeffs), list(want.coeffs))
+
+
+def test_lambert_inverse_relation_at_60_is_the_tree_function():
+    # y e^y = t has the reversion sum_k (-k)^(k-1) t^k / k!
+    table = builtin_table("lambert", 60)
+    assert [inverse_taylor_coeff(table, k, 0) for k in range(1, 61)] == [
+        (-k) ** (k - 1) for k in range(1, 61)]
+
+
+@pytest.mark.parametrize("table, calls", [
+    (_random_table(random.Random(1313), 6), False),
+    (builtin_table("lambert", 8), False),
+    (CoeffTable.symbolic(6), True),
+], ids=["rational6", "lambert8", "symbolic6"])
+def test_only_symbolic_tables_enumerate_partitions(monkeypatch, table, calls):
+    # rational g_k come from Lagrange inversion; symbolic ones keep the
+    # paper's partition sum, whose size is that of g_k
+    seen = []
+    terms = implicit.inverse_partition_terms
+
+    def counting(n):
+        seen.append(n)
+        return terms(n)
+
+    monkeypatch.setattr(implicit, "inverse_partition_terms", counting)
+    assert expand_direct(table).y == expand_newton(table).y
+    assert bool(seen) is calls
+
+
 def test_scaling_in_x():
     # replacing f(m,n) by lam^m f(m,n) is f(x,y) -> f(lam*x, y), whose
     # solution is y(lam*x); EGF coefficients pick up lam^m
