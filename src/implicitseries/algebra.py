@@ -631,14 +631,16 @@ def div_int(value, n):
     """value / n for a scalar or LaurentPoly value and a nonzero int n,
     exact and canonical.  An int that n divides becomes value // n, so
     integral work such as u^n / n! makes no Fraction; anything else gives
-    the same canonical value as value * Fraction(1, n)."""
+    the same canonical value as value * Fraction(1, n).  A Fraction value
+    gives a Fraction built from its numerator and denominator, so no
+    Fraction arithmetic runs."""
     if not n:
         raise ZeroDivisionError("division by zero")
     if type(value) is int:
         return Fraction(value, n) if value % n else value // n
     if isinstance(value, LaurentPoly):
         return LaurentPoly._raw(div_terms(value._terms, n), value._bound)
-    return _canonical(value / n)
+    return _canonical(Fraction(value.numerator, value.denominator * n))
 
 
 def as_coefficient(value):

@@ -42,9 +42,9 @@ PUBLISHED_CENSUS_15 = 91159
 # and 15 s at N=80, nearly all of it the inverse-relation series of
 # direct, growing about 2x per 10 orders (22 s for them at N=90); on the
 # Lambert table 0.5 s at N=60 and 0.8 s at N=80.  Growing denominators
-# cost more: (3+x-y)^-3-1/27+y at N=80 takes 20 s to build and 23 s more
-# for compose.  Rational newton at
-# N=150 takes 20 s and 29 MB on the dense table.  Symbolic
+# cost more: (3+x-y)^-3-1/27+y at N=80 takes 13 s to build and 23 s more
+# for compose.  Rational newton at N=150 takes 20 s and 29 MB on the
+# dense table.  Symbolic
 # output has about 1.85x more monomials per order: at N=15 newton takes
 # 21 s and 0.4 GB, and direct at N=18 already 30 s, 2.4 GB and a 1 GB
 # JSON document.  --method all takes the least ceiling of the three.
@@ -360,12 +360,13 @@ def _expand_per_config(args):
 
     if args.method == "all":
         results = [expand(table, order, m) for m in ("direct", "compose", "newton")]
-        for m in range(order):
-            for i, j in ((0, 1), (0, 2), (1, 2)):
-                if results[i].y[m] != results[j].y[m]:
-                    raise MethodMismatchError(
-                        m + 1, results[i].method, results[j].method)
+        # compose and newton are each checked against direct, and so
+        # against each other
         result = results[0]
+        for m in range(order):
+            for other in results[1:]:
+                if other.y[m] != result.y[m]:
+                    raise MethodMismatchError(m + 1, result.method, other.method)
     else:
         result = expand(table, order, args.method)
     body = _payload(result, args.mode, args.method, args.count_monomials)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 from math import comb, gcd, lcm
 
 from .algebra import (
@@ -45,7 +44,7 @@ from .combinatorics import (
     bell_eval,
     inverse_partition_terms,
 )
-from .series import BivariateEGF, TaylorEGF, _over_one_denominator
+from .series import BivariateEGF, TaylorEGF, _convolve, _over_one_denominator
 
 _ZERO = 0
 
@@ -190,9 +189,9 @@ def _column_power(table, powers, n, exponent, order):
     x^order.
 
     powers is the dict of column powers (and of _lagrange_g's column
-    ratios) shared by the g_j of one _inverse_coeff_series memo entry.
-    A power is built the first time it
-    is asked for, at that order, and stored; the orders asked of it
+    ratios) shared by the g_j of one _inverse_coeff_series memo entry, or
+    held by one g_k built alone.  A power is built the first time it is
+    asked for, at that order, and stored; the orders asked of it
     afterwards only fall, so the stored series is always long enough."""
     val = powers.get((n, exponent))
     if val is None:
@@ -212,16 +211,18 @@ def inverse_taylor_coeff(table, k, l):
     """Taylor coefficient a(k, l): the l-th x-coefficient of the k-th
     EGF coefficient of the inverse relation x(y) attached to the table.
 
-    Read off g_k of _inverse_coeff_series at top = max(N, k + l), N the
-    table order: the entry direct and compose share when l <= N - k, and
-    one of its own, exact through x^l, otherwise.
+    Read off g_k of _inverse_coeff_series at top = N, N the table order,
+    the entry direct and compose share, when l <= N - k; otherwise off g_k
+    built alone through x^l, with powers of its own, and kept nowhere.
     """
     if k < 1:
         raise TableError("k must be at least 1")
     if l < 0 or l > table.order or k > table.order:
         raise TableError("index outside the table order")
     ensure_valid(table)
-    return _inverse_coeff_series(table, k, max(table.order, k + l)).coeffs[l]
+    if k + l <= table.order:
+        return _inverse_coeff_series(table, k, table.order).coeffs[l]
+    return _build_g(table, {}, k, l).coeffs[l]
 
 
 def y_coeff_direct(table, m):
@@ -323,21 +324,16 @@ def _partition_g(table, powers, j, order):
 
     slots with zero exponent skipped.  A column that is a polynomial of
     low degree has a power with trailing zeros, which the zero-skipping
-    series product passes over.  Each coefficient is one `dot` per batch
-    of 32 partitions, so that no more products than that are held at once;
-    p(j-1) products in all."""
-    acc = [_ZERO] * (order + 1)
-    terms = inverse_partition_terms(j)
-    while batch := list(islice(terms, 32)):
-        prods = []
-        for r, weight in batch:
-            prod = _column_power(table, powers, 1, r[0] - 2 * j + 1, order)
-            for nu in range(2, j + 1):
-                if r[nu - 1]:
-                    prod = prod * _column_power(table, powers, nu, r[nu - 1], order)
-            prods.append((weight, prod.coeffs))
-        acc = [dot([(1, 1, acc[i])] + [(w, 1, p[i]) for w, p in prods]) for i in range(order + 1)]
-    return TaylorEGF(acc)
+    series product passes over.  Each coefficient is one `dot` over the
+    p(j-1) products."""
+    prods = []
+    for r, weight in inverse_partition_terms(j):
+        prod = _column_power(table, powers, 1, r[0] - 2 * j + 1, order)
+        for nu in range(2, j + 1):
+            if r[nu - 1]:
+                prod = prod * _column_power(table, powers, nu, r[nu - 1], order)
+        prods.append((weight, prod.coeffs))
+    return TaylorEGF([dot([(w, 1, p[i]) for w, p in prods]) for i in range(order + 1)])
 
 
 def _lagrange_g(table, powers, j, order):
@@ -354,9 +350,10 @@ def _lagrange_g(table, powers, j, order):
 
     and g_j = q_(j-1): O(j^2) series products, none for a zero b_i.  Each
     b_i and q_n is held as (d, ints over d), d the least common
-    denominator, so the sums run on ints and make no Fraction; b_i keeps
-    only its nonzero (l, coefficient) pairs, in powers under ("ratio", i),
-    built at the first (longest) order asked, as the powers are."""
+    denominator, so the sums run on ints through `_convolve` and make no
+    Fraction; b_i keeps only its nonzero (l, coefficient) pairs, in powers
+    under ("ratio", i), built at the first (longest) order asked, as the
+    powers are."""
     b = []
     for i in range(1, j):
         ratio = powers.get(("ratio", i))
@@ -367,41 +364,36 @@ def _lagrange_g(table, powers, j, order):
         b.append(ratio)
     d, (row,) = _over_one_denominator((_column_power(table, powers, 1, -j, order).coeffs,))
     q = [(d, row)]
-    binom = [[comb(m, l) for l in range(m + 1)] for m in range(order + 1)]
     for n in range(1, j):
         terms = [(((1 - j) * i - n) * comb(n, i), b[i - 1], q[n - i])
                  for i in range(1, n + 1) if b[i - 1][1]]
         den = lcm(*[e * d for _, (e, _), (d, _) in terms])
-        terms = [(w * (den // (e * d)), bi, qi) for w, (e, bi), (d, qi) in terms]
-        row = []
-        for m in range(order + 1):
-            cm, s = binom[m], 0
-            for w, bi, qi in terms:
-                t = 0
-                for l, c in bi:
-                    if l > m:
-                        break
-                    if qi[m - l]:
-                        t += cm[l] * c * qi[m - l]
-                s += w * t
-            row.append(s)
+        row = _convolve([(w * (den // (e * d)), bi, qi) for w, (e, bi), (d, qi) in terms], order)
         g = gcd(n * den, *row)
         q.append((n * den // g, [c // g for c in row]))
     d, row = q[j - 1]
     return TaylorEGF._raw([div_int(c, d) for c in row])
 
 
+def _build_g(table, powers, j, order):
+    """g_j through x^order, sharing the column powers in powers.
+
+    Symbolic tables build it by the paper's partition sum
+    (`_partition_g`), whose size is that of g_j; rational tables by
+    Lagrange inversion with Miller's power recurrence (`_lagrange_g`),
+    O(j^2) series products where the partition sum makes p(j-1), but
+    whose intermediates are far larger than g_j when the entries are
+    symbols."""
+    build = _lagrange_g if table.mode == "rational" else _partition_g
+    return build(table, powers, j, order)
+
+
 def _inverse_coeff_series(table, k, top):
     """The k-th EGF coefficient g_k of the inverse relation as a series in
-    x, exact through x^min(top - k, N), N the table order.
+    x, exact through x^(top - k), top at most N, the table order.
 
     g_k is the k-th EGF coefficient of the reversion in y of
-    f(x, y) - f(x, 0), over series in x.  Symbolic tables build it by the
-    paper's partition sum (`_partition_g`), whose size is that of g_k;
-    rational tables by Lagrange inversion with Miller's power recurrence
-    (`_lagrange_g`), O(k^2) series products where the partition sum makes
-    p(k-1), but whose intermediates are far larger than g_k when the
-    entries are symbols.
+    f(x, y) - f(x, 0), over series in x, built by `_build_g`.
 
     The table keeps one memo entry per top: the g_j built so far and the
     column powers they share.  A call builds g_1, g_2, ... up to g_k in
@@ -409,8 +401,8 @@ def _inverse_coeff_series(table, k, top):
     first build is the longest ever read.  Below the table order (compose
     at M < N after direct), an entry of a larger top that holds g_k is
     exact through x^(top - k) as well, so g_k is read from it truncated
-    and no entry is opened for this top; above it, each a(k, l) of
-    inverse_taylor_coeff keeps its own entry."""
+    and no entry is opened for this top.  Every caller asks for a top in
+    1..N, so the memo holds at most N entries besides the Bell memo."""
     gs = table._cache.get(("inverse", top), ((),))[0]
     if len(gs) < k:
         if top < table.order:
@@ -418,10 +410,9 @@ def _inverse_coeff_series(table, k, top):
                 if key != "bell" and key[1] > top and len(entry[0]) >= k:
                     return entry[0][k - 1].truncate(top - k)
         gs, powers = table._cache.setdefault(("inverse", top), ([], {}))
-        build = _lagrange_g if table.mode == "rational" else _partition_g
         while len(gs) < k:
             j = len(gs) + 1
-            gs.append(build(table, powers, j, min(top - j, table.order)))
+            gs.append(_build_g(table, powers, j, top - j))
     return gs[k - 1]
 
 

@@ -336,8 +336,9 @@ def test_direct_then_compose_build_each_column_power_once(monkeypatch):
 
 
 def test_inverse_taylor_coeff_is_exact_in_any_call_order():
-    # a(k, l) above l = N - k reads g_k from its own memo entry at
-    # top = k + l, so no call order changes what another call reads
+    # a(k, l) above l = N - k reads g_k built alone and kept nowhere, so no
+    # call order changes what another call reads, and the only memo entry
+    # is the one at top = N
     order = 6
     calls = [(6, 0), (5, 0), (6, 3), (5, 4)] + [(k, order) for k in (1, 2, 3)]
     fresh = {(k, l): inverse_taylor_coeff(CoeffTable.symbolic(order), k, l)
@@ -349,10 +350,13 @@ def test_inverse_taylor_coeff_is_exact_in_any_call_order():
         for k, l in seq:
             assert inverse_taylor_coeff(t, k, l) == fresh[(k, l)], (k, l)
         tops = {key[1] for key in t._cache if key[0] == "inverse"}
-        assert tops == {max(order, k + l) for k, l in calls}
+        assert tops == {order}
 
 
 def test_each_g_k_is_exact_through_top_minus_k_at_most_n():
+    # every memo entry has top <= N; a(k, N) builds g_k alone, opens no
+    # entry, and reads what the memo at top = N + k of the same table
+    # padded with zeros to order N + k reads
     order = 6
     t = CoeffTable.symbolic(order)
 
@@ -361,11 +365,12 @@ def test_each_g_k_is_exact_through_top_minus_k_at_most_n():
 
     direct = expand_direct(t).y
     assert series_orders(order) == [order - k for k in range(1, order + 1)]
+    keys = set(t._cache)
     for k in range(1, order + 1):
-        inverse_taylor_coeff(t, k, order)
-    for k in range(1, order + 1):
-        top = order + k
-        assert series_orders(top) == [min(top - j, order) for j in range(1, k + 1)]
+        padded = CoeffTable(order + k, t.entries(), "symbolic")
+        assert inverse_taylor_coeff(t, k, order) == inverse_taylor_coeff(padded, k, order)
+        assert [key for key in padded._cache if key != "bell"] == [("inverse", order + k)]
+    assert set(t._cache) == keys
     assert series_orders(order) == [order - k for k in range(1, order + 1)]
     assert expand_compose(t).y == direct
 
@@ -392,7 +397,7 @@ def test_direct_makes_no_inverse_taylor_coeff_call(monkeypatch):
 ], ids=["symbolic4", "dense6"])
 def test_the_inverse_memo_stays_bounded_and_replaces_nothing(table):
     # direct, compose at every order, then every public a(k, l): at most
-    # one memo entry per top in 1..2N besides the Bell memo, and a g_k or a
+    # one memo entry per top in 1..N besides the Bell memo, and a g_k or a
     # column power, once held, is never replaced
     order = table.order
     seen = {}
@@ -416,8 +421,8 @@ def test_the_inverse_memo_stays_bounded_and_replaces_nothing(table):
         for l in range(order + 1):
             inverse_taylor_coeff(table, k, l)
             snapshot()
-    assert len(table._cache) <= 2 * order + 1
-    assert {key[1] for key in table._cache if key != "bell"} <= set(range(1, 2 * order + 1))
+    assert len(table._cache) <= order + 1
+    assert {key[1] for key in table._cache if key != "bell"} <= set(range(1, order + 1))
 
 
 @pytest.mark.parametrize("table", [CoeffTable.symbolic(6), builtin_table("lambert", 8)],

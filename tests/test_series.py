@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from implicitseries import implicit, series
 from implicitseries.algebra import (
     LaurentPoly,
     NotInvertibleError,
@@ -21,11 +22,13 @@ from implicitseries.algebra import (
     fsym,
     invert_scalar,
 )
+from implicitseries.implicit import CoeffTable
 from implicitseries.series import (
     BivariateEGF,
     ConstantTermError,
     MixedOrderError,
     TaylorEGF,
+    _convolve,
 )
 
 
@@ -472,6 +475,81 @@ def test_exact_rational_sums_make_no_fraction_arithmetic(monkeypatch):
     assert set(calls) <= {"__new__"} and len(calls) <= 7 * 7
     got = run(lambda: dot(triples))
     assert got == want[2] and calls == ["__new__"]
+    # so do the Miller steps of a rational g_j.  Column 1's reciprocal is
+    # built first: it runs the recurrence of _quotient_rows on Fractions
+    table = CoeffTable(6, {(m, n): number() for m in range(7) for n in range(7)
+                           if (m, n) != (0, 0)} | {(0, 1): Fraction(3, 7)}, "rational")
+    want = implicit._partition_g(table, {}, 5, 6)
+    powers = {}
+    implicit._column_power(table, powers, 1, -1, 6)
+    got = run(lambda: implicit._lagrange_g(table, powers, 5, 6))
+    assert got == want
+    # at most one per coefficient of the 13 series built: c_1^-2..c_1^-5,
+    # each c_(i+1) / c_1 and its quotient by i + 1, and g_5
+    assert set(calls) <= {"__new__"} and len(calls) <= 13 * 7
+
+
+def test_every_exact_product_sums_through_the_one_kernel(monkeypatch):
+    # a numeric series product, a box product (one call per output row)
+    # and each Miller step of a rational g_j call series._convolve, which
+    # implicit imports under the same name
+    calls = []
+
+    def wrap(module):
+        kernel = module._convolve
+
+        def counted(terms, order):
+            calls.append((module.__name__, order))
+            return kernel(terms, order)
+        monkeypatch.setattr(module, "_convolve", counted)
+
+    wrap(series)
+    wrap(implicit)
+    rng = random.Random(44)
+    a, b = (TaylorEGF(_rand_coeffs(rng, 8)) for _ in "ab")
+    assert list((a * b).coeffs) == _mul_oracle(a.coeffs, b.coeffs)
+    assert calls == [("implicitseries.series", 8)]
+    calls.clear()
+    box_a, box_b = (BivariateEGF(_rand_box(rng, 4)) for _ in "ab")
+    assert [list(row) for row in (box_a * box_b).coeffs] == _box_mul_oracle(
+        box_a.coeffs, box_b.coeffs)
+    assert calls == [("implicitseries.series", 4)] * 5
+    table = CoeffTable(5, {(m, n): Fraction(m + 2 * n + 1, n + 2) for m in range(6)
+                           for n in range(6) if (m, n) != (0, 0)}, "rational")
+    want = implicit._partition_g(table, {}, 4, 5)
+    calls.clear()
+    assert implicit._lagrange_g(table, {}, 4, 5) == want
+    assert calls.count(("implicitseries.implicit", 5)) == 3
+
+
+@st.composite
+def _kernel_cases(draw):
+    """An order and up to three (weight, outer pairs, inner row) terms of
+    ints, sparse or dense; the outer operand may run past the order."""
+    order = draw(st.integers(0, 10))
+    nonzero = st.integers(-40, 40).filter(bool)
+    entries = draw(st.sampled_from([nonzero, st.one_of(nonzero, st.just(0)),
+                                    st.one_of(nonzero, *[st.just(0)] * 4)]))
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        outer = draw(st.lists(entries, max_size=order + 4))
+        row = draw(st.lists(entries, min_size=order + 1, max_size=order + 1))
+        terms.append((draw(st.integers(-6, 6)), [(i, c) for i, c in enumerate(outer) if c], row))
+    return order, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_cases())
+def test_the_kernel_is_the_plain_fraction_egf_convolution(case):
+    # n! [x^n] of sum k (sum_i c_i x^i / i!) (sum_j r_j x^j / j!), summed in
+    # Fractions, for n = 0..order
+    order, terms = case
+    want = [factorial(n) * sum((Fraction(k * c * row[n - i], factorial(i) * factorial(n - i))
+                                for k, pairs, row in terms for i, c in pairs if i <= n),
+                               Fraction(0))
+            for n in range(order + 1)]
+    got = _convolve(terms, order)
+    assert got == want and all(type(c) is int for c in got)
 
 
 # -- bivariate ------------------------------------------------------------
