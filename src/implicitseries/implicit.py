@@ -467,13 +467,40 @@ def expand_newton(table, order=None):
         P(n, m) = sum_{i=1}^{m-n+1} C(m-1, i-1) u_i P(n-1, m-i)
 
     reads only u_1..u_{m-1}, so column m is complete before y_m is solved
-    for.  Each product is made once, about N^3/3 of them in all.  Ends by
-    checking that the final residual, substituted afresh, vanishes through
-    the order.
+    for.  Each product is made once, about N^3/3 of them in all.
+
+    The solve runs on f(p^2 x, p y) = 0, p the numerator of f(0,1) in
+    rational mode and 1 in symbolic mode.  Its box is f(k, n) p^(2k+n),
+    built only for k + n <= N, the entries the solve and the check read;
+    its f(0,1) is p^2 / q, q the denominator of f(0,1); and its solution
+    has coefficients u_m = y_m p^(2m-1).  So u_m = -s q / p^2, s the sum
+    above over the scaled box, and y_m = u_m / p^(2m-1).  By Sokal's
+    form of the expansion (A. D. Sokal, "A ridiculously simple and
+    explicit implicit function theorem", Sem. Lothar. Combin. 61A, 2009),
+    y_m is f(0,1)^-(2m-1) times a polynomial in the f(k, n) with integer
+    coefficients, so u_m is such a polynomial times q^(2m-1), with no
+    factor p in its denominator: on an integral table every product of
+    the solve is an int product, with no Fraction and no gcd.  At p = 1
+    the box is the table's and u_m = y_m.
+
+    Ends by checking that the final residual, substituted afresh,
+    vanishes through the order: the returned y_m, each times p^(2m-1),
+    are substituted into the scaled box.  Coefficient m of that series is
+    p^(2m) times coefficient m of f(x, y(x)), so it is zero exactly when
+    the unscaled residual is, and the check is as strict as on the table
+    itself.
     """
     order = _expansion_order(table, order)
-    f = as_bivariate(table, order)
-    inv01 = invert_scalar(table.entry(0, 1))
+    f01 = table.entry(0, 1)
+    p = 1 if table.mode == "symbolic" else f01.numerator
+    if p == 1:
+        f = as_bivariate(table, order)
+    else:
+        scale = [p ** e for e in range(2 * order + 1)]
+        f = BivariateEGF([[table.entry(k, n) * scale[2 * k + n] if k + n <= order else _ZERO
+                           for n in range(order + 1)] for k in range(order + 1)])
+    box = f.coeffs
+    inv = invert_scalar(f01 * p)  # q / p^2, one over the scaled f(0,1)
     # pw[n][j]: coefficient j of u^n/n!, zero below j = n; pw[1] is u
     pw = [[1] + [_ZERO] * order] + [[_ZERO] * n for n in range(1, order + 1)]
     u = pw[1]
@@ -486,13 +513,14 @@ def expand_newton(table, order=None):
                               for i in range(1, m - n + 2) if u[i] and prev[m - i]]))
         u.append(_ZERO)  # u_m is unknown yet, so f(0,1) u_m drops out
         # a generator, so that no list of about m^2/2 triples is held
-        s = dot((comb(m, k), f.coeffs[k][n], pw[n][m - k]) for k in range(m + 1)
-                for n in range(m - k + 1) if f.coeffs[k][n] and pw[n][m - k])
-        ym = as_coefficient(-(s * inv01))
-        u[m] = ym
+        s = dot((comb(m, k), box[k][n], pw[n][m - k]) for k in range(m + 1)
+                for n in range(m - k + 1) if box[k][n] and pw[n][m - k])
+        u[m] = as_coefficient(-(s * inv))
+        ym = u[m] if p == 1 else div_int(u[m], scale[2 * m - 1])
         ys.append(ym)
         diags.append(_diag(ym, t0))
-    final = f.substitute_y(TaylorEGF([_ZERO] + ys, order=order), order=order)
+    check = ys if p == 1 else [y * scale[2 * m - 1] for m, y in enumerate(ys, 1)]
+    final = f.substitute_y(TaylorEGF([_ZERO, *check], order=order), order=order)
     if not final.is_zero():
         raise InvariantError("final residual is nonzero through the requested order")
     return ExpansionResult(order, "newton", ys, diags)

@@ -69,9 +69,17 @@ def _convolve(terms, order):
     products run over one common denominator and make no Fraction; a
     LaurentPoly entry sums as well.  The output coefficient runs
     outermost, with a local accumulator: adding each outer term into the
-    output list instead made dense direct at N=40 about 1.5x slower."""
-    out = []
-    for n, cn in enumerate(_pascal(order)):
+    output list instead made dense direct at N=40 about 1.5x slower.
+    Every output below the smallest outer index is zero, so the loop
+    starts there."""
+    start = order + 1
+    for _, pairs, _ in terms:
+        if pairs and pairs[0][0] < start:
+            start = pairs[0][0]
+    out = [0] * start
+    pascal = _pascal(order)
+    for n in range(start, order + 1):
+        cn = pascal[n]
         s = 0
         for k, pairs, row in terms:
             t = 0
@@ -90,11 +98,12 @@ def _exp_rows(f, g0):
     g0 = exp F_0, by G' = F' G: G_{m+1} = sum_i C(m, i) F_{i+1} G_{m-i}.
 
     A row is a scalar (a one-variable series) or a series in y (a
-    bivariate one); ' is the derivative in x.
+    bivariate one); ' is the derivative in x.  A zero F_1 is not
+    multiplied: it starts each sum as itself, a zero of its row's type.
     """
     g = [g0]
     for m in range(len(f) - 1):
-        s = f[1] * g[m]
+        s = f[1] * g[m] if f[1] else f[1]
         for i in range(1, m + 1):
             if f[i + 1] and g[m - i]:
                 s = s + comb(m, i) * f[i + 1] * g[m - i]
@@ -451,7 +460,9 @@ class BivariateEGF:
         """The one-variable series f(x, u(x)); u must kill its constant term.
 
         Exact through the output order because u has positive valuation, so
-        row n contributes nothing below x^n.
+        row n contributes nothing below x^n; it follows that row n reaches
+        the output only through x^(order - n), and only that triangle of
+        the box is read.
         """
         if order is None:
             order = min(self.order, u.order)
@@ -466,7 +477,7 @@ class BivariateEGF:
             upow = upow * u / n
             if upow.is_zero():
                 break
-            row = [self.coeffs[m][n] for m in range(order + 1)]
+            row = [self.coeffs[m][n] for m in range(order + 1 - n)]
             if any(row):
-                total = total + TaylorEGF(row) * upow
+                total = total + TaylorEGF(row, order) * upow
         return total

@@ -851,6 +851,83 @@ def test_newton_raises_on_a_nonzero_final_residual(monkeypatch):
         expand_newton(builtin_table("lambert", 6))
 
 
+_DENSE_INTEGRAL = "log(1+x+y)*exp(x*y)+y"  # f(0,1) = 2
+_DENSE_82_55 = "log(1+x/3+7*y/5)*exp(x*y/2)+y/11"  # f(0,1) = 82/55
+
+
+@pytest.mark.parametrize("text", [_DENSE_INTEGRAL, _DENSE_82_55])
+def test_newton_s_check_catches_one_wrong_solved_coefficient(monkeypatch, text):
+    # the residual sum s of order m gives y_m = -s / (f(0,1) p^(2m)), p the
+    # numerator of f(0,1); moving s by -f(0,1) p^6 at m = 3 makes y_3 one
+    # larger, and every later y_m is solved against that wrong y_3
+    t = table_from_expr(text, 8)
+    want = expand_direct(t).y
+    f01 = Fraction(t.entry(0, 1))
+    residuals = []
+    dot = implicit.dot
+
+    def corrupting(triples):
+        s = dot(triples)
+        if not isinstance(triples, list):  # the residual; the powers pass lists
+            residuals.append(s)
+            if len(residuals) == 3:
+                return s - f01 * f01.numerator ** 6
+        return s
+
+    substituted = []
+    substitute_y = BivariateEGF.substitute_y
+
+    def recording(self, u, order=None):
+        substituted.append(u)
+        return substitute_y(self, u, order)
+
+    monkeypatch.setattr(implicit, "dot", corrupting)
+    monkeypatch.setattr(BivariateEGF, "substitute_y", recording)
+    with pytest.raises(InvariantError):
+        expand_newton(t)
+    assert len(residuals) == 8
+    # the check read the wrong y_3, scaled by p^5
+    (u,) = substituted
+    assert u[3] == (want[2] + 1) * f01.numerator ** 5
+
+
+@st.composite
+def _tables_with_large_f01(draw):
+    """Rational tables of order <= 7 whose f(0,1) has a numerator in
+    +-1..+-10^6 and a denominator other than 1, beside small rationals."""
+    size = draw(st.integers(1, 7))
+    entries = {(m, n): draw(_sparse_rationals)
+               for m in range(size + 1) for n in range(size + 1) if 0 < m + n <= size}
+    num = draw(st.integers(1, 10**6)) * draw(st.sampled_from([1, -1]))
+    den = draw(st.integers(2, 10**4).filter(lambda d: Fraction(num, d).denominator > 1))
+    entries[(0, 1)] = Fraction(num, den)
+    return CoeffTable(size, entries, "rational")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables_with_large_f01())
+def test_newton_matches_direct_when_f01_has_a_large_numerator(t):
+    _assert_same_canonical(expand_newton(t).y, expand_direct(t).y)
+
+
+def test_newton_solves_an_integral_table_in_ints(monkeypatch):
+    # f(0,1) = 2: solved for y_m 2^(2m-1), every sum of the solve is an
+    # int sum, where y_m itself has a power of 2 in its denominator
+    types = set()
+    dot = implicit.dot
+
+    def recording(triples):
+        triples = list(triples)
+        types.update(type(v) for _, a, b in triples for v in (a, b))
+        return dot(triples)
+
+    monkeypatch.setattr(implicit, "dot", recording)
+    t = table_from_expr(_DENSE_INTEGRAL, 12)
+    y = expand_newton(t).y
+    assert types == {int}
+    assert any(type(v) is Fraction for v in y)
+
+
 def _module_state_sizes():
     sizes = {}
     for name, module in list(sys.modules.items()):

@@ -785,6 +785,52 @@ def test_substitute_y_truncation_consistency():
         assert full.truncate(small) == part
 
 
+@pytest.mark.parametrize("order", [8, 5])
+def test_substitute_y_reads_only_the_triangle_that_reaches_the_output(monkeypatch, order):
+    # row n reaches the output only through x^(order - n): entries past
+    # that triangle change nothing and enter no common denominator
+    huge = 2**127 - 1  # a prime
+    rng = random.Random(97)
+    box = _rand_box(rng, 8)
+    u = _rand_coeffs(rng, 8)
+    u[0] = Fraction(0)
+    outside = [[Fraction(1, huge) if m + n > order else c for n, c in enumerate(row)]
+               for m, row in enumerate(box)]
+    zeroed = [[0 if m + n > order else c for n, c in enumerate(row)]
+              for m, row in enumerate(box)]
+    want = BivariateEGF(zeroed).substitute_y(TaylorEGF(u), order=order)
+    denominators = []
+    over_one_denominator = series._over_one_denominator
+
+    def recording(rows):
+        d, rows = over_one_denominator(rows)
+        denominators.append(d)
+        return d, rows
+
+    monkeypatch.setattr(series, "_over_one_denominator", recording)
+    assert BivariateEGF(outside).substitute_y(TaylorEGF(u), order=order) == want
+    assert denominators and not any(d % huge == 0 for d in denominators)
+
+
+def test_an_exp_with_a_zero_first_row_makes_no_empty_product(monkeypatch):
+    # F = y (1 + x^2): its row F_1 is zero, and no kernel call is made for it
+    order = 6
+    box = [[0] * (order + 1) for _ in range(order + 1)]
+    box[0][1], box[2][1] = 1, 2
+    outers = []
+
+    def recording(terms, order):
+        outers.extend(pairs for _, pairs, _ in terms)
+        return _convolve(terms, order)
+
+    monkeypatch.setattr(series, "_convolve", recording)
+    got = BivariateEGF(box).exp()
+    # exp(y (1 + x^2)) = sum_n y^n (1 + x^2)^n / n!
+    assert got == BivariateEGF([[factorial(m) * comb(n, m // 2) if m % 2 == 0 else 0
+                                 for n in range(order + 1)] for m in range(order + 1)])
+    assert outers and all(outers)
+
+
 def test_substitute_y_requires_zero_constant():
     with pytest.raises(ConstantTermError):
         BivariateEGF.var_y(3).substitute_y(TaylorEGF([1, 0, 0, 0]))
