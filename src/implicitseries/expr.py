@@ -339,7 +339,7 @@ def eval_series(node, order) -> BivariateEGF:
             continue
         b = eval_series(op.right, order)
         a = (a + b if op.op == "+" else a - b if op.op == "-"
-             else a * b if op.op == "*" else a * b.reciprocal())
+             else a * b if op.op == "*" else a / b)
     return a
 
 

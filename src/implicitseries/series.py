@@ -13,9 +13,10 @@ binary operations demand equal orders and raise MixedOrderError otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from math import comb, lcm
+from operator import mul
 
 from .algebra import (LaurentPoly, NotInvertibleError, as_coefficient, div_int, dot,
                       invert_scalar, power)
@@ -64,12 +65,12 @@ def _convolve(terms, order):
     over (k, pairs, row) in terms, for n = 0..order, as a list.
 
     pairs is the outer operand as its nonzero (i, c_i) in increasing i,
-    and may run past the order; row is the inner operand, at least
-    order + 1 entries long.  Entries are ints, so that exact rational
-    products run over one common denominator and make no Fraction; a
-    LaurentPoly entry sums as well.  The output coefficient runs
-    outermost, with a local accumulator: adding each outer term into the
-    output list instead made dense direct at N=40 about 1.5x slower.
+    and may run past the order; row is the inner operand, read through
+    index order - i_0 for pairs starting at i_0.  Entries are ints, so
+    that exact rational products run over one common denominator and make
+    no Fraction; a LaurentPoly entry sums as well.  The output coefficient
+    runs outermost, with a local accumulator: adding each outer term into
+    the output list instead made dense direct at N=40 about 1.5x slower.
     Every output below the smallest outer index is zero, so the loop
     starts there."""
     start = order + 1
@@ -93,37 +94,178 @@ def _convolve(terms, order):
     return out
 
 
+def _series_dot(terms, order):
+    """Coefficients 0..order of the one-variable series sum of k * A * B
+    over (int k, A, B) in terms, A and B coefficient sequences, canonical.
+
+    An operand is read through index order - i_0 when the other starts
+    at x^(i_0), so it may stop there or run past the order.  The kernel
+    walks A, its outer operand, by the nonzero coefficients, so callers
+    put the sparser operand first where it is not known (`_sparser_first`).
+    Numbers sum in one `_convolve` on ints over the common denominators,
+    so that no term makes a Fraction and its gcd.  When an operand starts
+    with a polynomial, every sum is one `dot` per output coefficient,
+    which costs such sums no LaurentPoly per term.  The first nonzero
+    coefficient decides, as the int path scales a later polynomial
+    coefficient by multiplication and gives the same value."""
+    if any(_starts_polynomial(a) or _starts_polynomial(b) for _, a, b in terms):
+        terms = [(k, [(i, c) for i, c in enumerate(a) if c], b) for k, a, b in terms]
+        return [dot([(k * cn[i], c, b[n - i]) for k, pairs, b in terms
+                     for i, c in pairs if i <= n and b[n - i]])
+                for n, cn in enumerate(_pascal(order))]
+    d, out = _int_dot(terms, order)
+    return [div_int(c, d) for c in out] if d > 1 else out
+
+
+def _sparser_first(k, a, b):
+    """The term (k, A, B) with the operand of fewer nonzero coefficients
+    first, as the kernel's outer one.  The recurrences put the rows of F
+    first and a product its left factor; `substitute_y` orients each of
+    its pairs: in newton's check u^n / n! against a dense column, and a
+    column of the Lambert table, one nonzero entry, against u^n / n!."""
+    return (k, b, a) if sum(map(bool, b)) < sum(map(bool, a)) else (k, a, b)
+
+
+def _starts_polynomial(a):
+    """Whether the first nonzero coefficient of a is a LaurentPoly."""
+    return type(next(filter(None, a), 0)) is LaurentPoly
+
+
+def _int_dot(terms, order):
+    """(d, V) with V / d the sum of `_series_dot` for number operands,
+    the outer operand first: one `_convolve` on ints, d the lcm of the
+    terms' common denominators."""
+    scaled = []
+    for k, a, b in terms:
+        da, (a,) = _over_one_denominator((a,))
+        if pairs := [(i, c) for i, c in enumerate(a) if c]:
+            db, (b,) = _over_one_denominator((b,))
+            scaled.append((da * db, k, pairs, b))
+    d = lcm(*[dk for dk, _, _, _ in scaled])
+    return d, _convolve([(k * (d // dk), pairs, b) for dk, k, pairs, b in scaled], order)
+
+
+def _add_products(s, terms):
+    """s + sum of k * A * B over (int k, A, B) in terms, for rows A, B and
+    s of one kind, in one kernel pass: `_series_dot` for series in y, in
+    which s is the product of the series 1 and itself, and `dot` for
+    scalars."""
+    if not terms:
+        return s
+    if isinstance(s, TaylorEGF):
+        ones = [(1, TaylorEGF.one(s.order).coeffs, s.coeffs)] if s else []
+        return TaylorEGF._raw(_series_dot(ones + [(k, a.coeffs, b.coeffs) for k, a, b in terms],
+                                          s.order))
+    return dot([(1, s, _ONE), *terms])
+
+
 def _exp_rows(f, g0):
     """The rows G_0..G_N of G = exp F from the rows F_0..F_N of F and
     g0 = exp F_0, by G' = F' G: G_{m+1} = sum_i C(m, i) F_{i+1} G_{m-i}.
 
     A row is a scalar (a one-variable series) or a series in y (a
-    bivariate one); ' is the derivative in x.  A zero F_1 is not
-    multiplied: it starts each sum as itself, a zero of its row's type.
+    bivariate one); ' is the derivative in x.  Each row is one
+    `_add_products` pass, and a zero F_(i+1) makes no product.
     """
     g = [g0]
-    for m in range(len(f) - 1):
-        s = f[1] * g[m] if f[1] else f[1]
-        for i in range(1, m + 1):
-            if f[i + 1] and g[m - i]:
-                s = s + comb(m, i) * f[i + 1] * g[m - i]
-        g.append(s)
+    zero = g0 * 0  # of the rows' kind
+    for m, cm in enumerate(_pascal(len(f) - 2)):
+        g.append(_add_products(zero, [(cm[i], f[i + 1], g[m - i]) for i in range(m + 1)
+                                      if f[i + 1] and g[m - i]]))
     return g
 
 
-def _quotient_rows(f, r, inv0):
-    """The rows Q_0..Q_M of Q = R / F from the rows of F and R and
-    inv0 = 1 / F_0, by F Q = R: Q_m = inv0 (R_m - sum_{i>=1} C(m, i) F_i Q_{m-i}).
-    Rows are as in `_exp_rows`."""
+def _quotient_rows(f, r, divide):
+    """The rows Q_0..Q_M of Q = R / F from the rows of F and R, by F Q = R:
+    Q_m = (R_m - sum_{i>=1} C(m, i) F_i Q_{m-i}) / F_0.  Rows are as in
+    `_exp_rows`; divide(S) is S / F_0, the product by the scalar 1 / F_0
+    for scalar rows and `_divider`'s triangular solve for rows in y."""
     q = []
     for m in range(len(r)):
-        s = r[m]
-        for i in range(1, m + 1):
-            if f[i] and q[m - i]:
-                # the sign rides on the int, so no polynomial is negated
-                s = s + -comb(m, i) * f[i] * q[m - i]
-        q.append(inv0 * s)
+        # the sign rides on the int, so no polynomial is negated
+        q.append(divide(_add_products(r[m], [(-comb(m, i), f[i], q[m - i])
+                                             for i in range(1, m + 1) if f[i] and q[m - i]])))
     return q
+
+
+def _power_rows(f, k, g0, divide):
+    """The rows G_0..G_N of G = F^k, k any integer, from the rows of F,
+    g0 = F_0^k and divide as in `_quotient_rows`, by J. C. P. Miller's
+    recurrence F G' = k F' G (Knuth, TAOCP Vol. 2, 4.7):
+
+        F_0 G_(m+1) = sum_{j=1}^{m+1} (k C(m, j-1) - C(m, j)) F_j G_(m+1-j).
+
+    A zero F_j is skipped, so a base with r nonzero rows costs about r N
+    row products where repeated squaring makes a dense product per step.
+    """
+    g = [g0]
+    zero = g0 * 0  # of the rows' kind
+    for m in range(len(f) - 1):
+        cm = _binomials(m) + (0,)
+        g.append(divide(_add_products(zero, [
+            (w, f[j], g[m + 1 - j]) for j in range(1, m + 2)
+            if (w := k * cm[j - 1] - cm[j]) and f[j] and g[m + 1 - j]])))
+    return g
+
+
+def _times(x, d):
+    """x * d as an int for a scalar x whose denominator divides the int d;
+    a LaurentPoly x, whose denominator counts as 1, is multiplied."""
+    return x * d if type(x) is LaurentPoly else x.numerator * (d // x.denominator)
+
+
+def _divider(f0):
+    """The function S -> S / F_0 on one-variable series of F_0's order, by
+    the triangular solve of F_0 Q = S over the nonzero coefficients of F_0
+    (Knuth, TAOCP Vol. 2, 4.7; Brent and Kung, "Fast algorithms for
+    manipulating formal power series", J. ACM 25, 1978), on ints.
+
+    With c = 1 / F_0[0], h_i = c F_0[i] and S = S' / e over the common
+    denominator of S, W = S' / F_0 is W_n = c S'_n - sum_{i>=1} C(n, i) h_i
+    W_(n-i).  D_0 = den(c) and D_n = lcm(den(c), den(h_i) D_(n-i)) over
+    the nonzero h_i, i <= n, make every V_n = D_n W_n an int:
+
+        V_n = c D_n S'_n - sum_{i>=1, h_i != 0} C(n, i) h_i (D_n / D_(n-i)) V_(n-i),
+
+    each weight an int, fixed by F_0 and built once.  So Q_n = V_n / (e D_n)
+    and only that last division can make a Fraction.  D_n is at most
+    a^(n+1) for F_0 = a + b y with integral a and b, and 3^n for
+    F_0 = exp(y / 3); scaling V_n by a^(n+1), a = F_0[0] times the common
+    denominator of F_0, carries n log2(a) bits instead, which made a dense
+    divisor such as exp(y / 3) 20-40 times slower at N = 40-80.  A
+    LaurentPoly c is the unit inverse of a unit monomial F_0[0], and a
+    polynomial counts as having denominator 1.  Raises NotInvertibleError,
+    as `TaylorEGF.reciprocal` does, when F_0[0] is not a unit."""
+    c0 = f0.coeffs[0]
+    try:
+        inv = invert_scalar(c0)
+    except NotInvertibleError:
+        raise NotInvertibleError(f"constant term is not invertible: {c0}") from None
+    h = [(i, inv * x) for i, x in enumerate(f0.coeffs) if i and x]
+    den = [1 if type(x) is LaurentPoly else x.denominator for x in (inv, *(x for _, x in h))]
+    dens = [den[0]]  # D_n
+    scale = [_times(inv, den[0])]  # c D_n
+    steps = [[]]  # the nonzero weights of V_(n-i), as (i, weight)
+    for n, cn in enumerate(_pascal(f0.order)[1:], 1):
+        live = [(i, x, dx) for (i, x), dx in zip(h, den[1:]) if i <= n]
+        d = lcm(den[0], *[dx * dens[n - i] for i, _, dx in live])
+        dens.append(d)
+        scale.append(_times(inv, d))
+        # the sign rides on the int, so no polynomial is negated
+        steps.append([(i, _times(x, d // dens[n - i]) * -cn[i]) for i, x, _ in live])
+
+    def divide(s):
+        e, (s,) = _over_one_denominator((s.coeffs,))
+        v = []
+        for n, (sn, c, step) in enumerate(zip(s, scale, steps)):
+            t = c * sn if sn else 0
+            for i, w in step:
+                if x := v[n - i]:
+                    t += w * x
+            v.append(t)
+        return TaylorEGF._raw([div_int(x, e * d) if x else x for x, d in zip(v, dens)])
+
+    return divide
 
 
 class TaylorEGF:
@@ -207,25 +349,7 @@ class TaylorEGF:
     def __mul__(self, other):
         if isinstance(other, TaylorEGF):
             self._check(other)
-            a, b = self.coeffs, other.coeffs
-            # sums of polynomials take the fused dot, sums of numbers the
-            # int loop below, which costs them no tuple per term.  Each
-            # operand is judged by its first nonzero coefficient (a full scan
-            # costs lambert20 about 2%), so a symbolic factor still takes dot
-            # when the other starts with an int, as the series one does; two
-            # factors that both start with an int take the int loop, which
-            # scales a later polynomial coefficient by multiplication and
-            # gives the same value.
-            if LaurentPoly in (type(next(filter(None, a), 0)), type(next(filter(None, b), 0))):
-                return TaylorEGF._raw([dot([(comb(n, i), a[i], b[n - i]) for i in range(n + 1)
-                                            if a[i] and b[n - i]]) for n in range(self.order + 1)])
-            # one int convolution over the product of the two common
-            # denominators, so that no term makes a Fraction and its gcd
-            da, (a,) = _over_one_denominator((a,))
-            db, (b,) = _over_one_denominator((b,))
-            out = _convolve([(1, [(i, c) for i, c in enumerate(a) if c], b)], self.order)
-            d = da * db
-            return TaylorEGF._raw([div_int(c, d) for c in out] if d > 1 else out)
+            return TaylorEGF._raw(_series_dot([(1, self.coeffs, other.coeffs)], self.order))
         if isinstance(other, (int, Fraction, LaurentPoly)):
             return TaylorEGF([c * other if c else c for c in self.coeffs])
         return NotImplemented
@@ -246,7 +370,11 @@ class TaylorEGF:
 
     def pow_int(self, exponent):
         """Integer power; negative exponents go through the reciprocal and
-        need an invertible constant term."""
+        need an invertible constant term.  Repeated squaring is kept here,
+        as its products convolve ints over one denominator: on the dense
+        Fraction series exp(y/3) at N=40, `_power_rows` took about 1.4 ms
+        for the cube against 0.5 ms, each of its scalar rows making a
+        Fraction."""
         if exponent < 0:
             return power(self.reciprocal(), -exponent)
         return power(self, exponent) if exponent else TaylorEGF.one(self.order)
@@ -258,7 +386,8 @@ class TaylorEGF:
         except NotInvertibleError:
             raise NotInvertibleError(
                 f"constant term is not invertible: {self.coeffs[0]}") from None
-        return TaylorEGF(_quotient_rows(self.coeffs, [_ONE] + [_ZERO] * self.order, inv0))
+        return TaylorEGF(_quotient_rows(self.coeffs, [_ONE] + [_ZERO] * self.order,
+                                        partial(mul, inv0)))
 
     def coeff_of_power(self, exponent, n):
         """Coefficient n of self**exponent, exponent any integer."""
@@ -307,7 +436,8 @@ class TaylorEGF:
         """Series logarithm; needs constant term exactly 1."""
         if self.coeffs[0] != 1:
             raise ConstantTermError("log needs constant term 1")
-        return TaylorEGF([_ZERO] + _quotient_rows(self.coeffs, self.coeffs[1:], _ONE))
+        return TaylorEGF([_ZERO] + _quotient_rows(self.coeffs, self.coeffs[1:],
+                                                  partial(mul, _ONE)))
 
 
 class BivariateEGF:
@@ -416,33 +546,55 @@ class BivariateEGF:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, n):
-        """The series divided by a nonzero int, exactly (see div_int)."""
-        if not isinstance(n, int):
-            return NotImplemented
-        return BivariateEGF([[div_int(c, n) for c in row] for row in self.coeffs])
-
-    def pow_int(self, exponent):
-        if exponent < 0:
-            return power(self.reciprocal(), -exponent)
-        return power(self, exponent) if exponent else BivariateEGF.const(1, self.order)
-
-    # exp, log and the reciprocal run `_exp_rows` and `_quotient_rows` over
-    # the rows F_m(y) of the box, one series in y each: exp by G' = F'G,
-    # log by G' = F'/F and the reciprocal by FG = 1, ' being d/dx.  Row 0
-    # is the one-variable operation on F_0(y); its domain check on F(0, 0)
-    # runs before any recurrence and raises the bivariate operation's error.
+    # exp, log, quotients and integer powers run `_exp_rows`,
+    # `_quotient_rows` and `_power_rows` over the rows F_m(y) of the box,
+    # one series in y each: exp by G' = F'G, log by G' = F'/F, a quotient
+    # by FQ = R and a power by FG' = kF'G, ' being d/dx.  All but exp
+    # divide each row by F_0 through `_divider`, so a sparse F_0 such as
+    # 1 + y costs a sparse solve.  Row 0 is the one-variable operation on
+    # F_0(y); its domain check on F(0, 0) runs before any recurrence and
+    # raises the bivariate operation's error.
 
     def _rows(self):
         return [TaylorEGF(row) for row in self.coeffs]
 
+    def __truediv__(self, other):
+        """The series divided by a nonzero int, exactly (see div_int), or
+        by a series whose constant term is a unit, in one `_quotient_rows`
+        pass over the rows of self."""
+        if isinstance(other, int):
+            return BivariateEGF([[div_int(c, other) for c in row] for row in self.coeffs])
+        if not isinstance(other, BivariateEGF):
+            return NotImplemented
+        self._check(other)
+        f = other._rows()
+        return BivariateEGF([q.coeffs for q in _quotient_rows(f, self._rows(), _divider(f[0]))])
+
+    def pow_int(self, exponent):
+        """Integer power.  Exponents 1 and 2 square (no box product or one:
+        for 2 the recurrence's larger operands lose 10-40% on both sparse
+        and dense bases), as does a positive exponent whose constant term
+        has no inverse, F_0 then having none to divide by.  Every other
+        exponent k runs `_power_rows` from G_0 = F_0(y)^k and makes no box
+        product.  A negative exponent with a constant term that is not a
+        unit raises NotInvertibleError."""
+        if not exponent:
+            return BivariateEGF.const(1, self.order)
+        if exponent in (1, 2):
+            return power(self, exponent)
+        f = self._rows()
+        try:
+            divide = _divider(f[0])
+        except NotInvertibleError:
+            if exponent > 0:
+                return power(self, exponent)
+            raise
+        return BivariateEGF([g.coeffs for g in
+                             _power_rows(f, exponent, f[0].pow_int(exponent), divide)])
+
     def reciprocal(self):
         """Multiplicative inverse; the constant term must be a unit."""
-        f = self._rows()
-        inv0 = f[0].reciprocal()
-        zero = TaylorEGF.zero(self.order)
-        r = [TaylorEGF.one(self.order)] + [zero] * self.order
-        return BivariateEGF([q.coeffs for q in _quotient_rows(f, r, inv0)])
+        return BivariateEGF.const(1, self.order) / self
 
     def exp(self):
         """Exponential; needs a zero constant term."""
@@ -453,16 +605,21 @@ class BivariateEGF:
         """Logarithm; needs constant term exactly 1."""
         f = self._rows()
         g0 = f[0].log()
-        d = _quotient_rows(f, f[1:], f[0].reciprocal())
+        d = _quotient_rows(f, f[1:], _divider(f[0]))
         return BivariateEGF([g.coeffs for g in [g0, *d]])
 
     def substitute_y(self, u, order=None):
-        """The one-variable series f(x, u(x)); u must kill its constant term.
+        """The one-variable series f(x, u(x)) = sum_n F^(n)(x) u^n / n!,
+        F^(n) the column of y^n / n!; u must kill its constant term.
 
         Exact through the output order because u has positive valuation, so
-        row n contributes nothing below x^n; it follows that row n reaches
-        the output only through x^(order - n), and only that triangle of
-        the box is read.
+        u^n / n! starts at x^n; it follows that column n reaches the output
+        only through x^(order - n), and only that triangle of the box is
+        read.  The powers u^n / n! are built by the series product.  Over
+        numbers each column's product is one `_int_dot` folded into an int
+        sum over the lcm of the denominators so far, so one power is held
+        at a time; over polynomials the whole sum is one `_series_dot` of
+        the pairs (u^n / n!, column n), one `dot` per output coefficient.
         """
         if order is None:
             order = min(self.order, u.order)
@@ -471,13 +628,28 @@ class BivariateEGF:
         if u.coeffs[0]:
             raise ConstantTermError("substitution needs a zero constant term")
         u = u.truncate(order)
-        total = TaylorEGF([self.coeffs[m][0] for m in range(order + 1)])  # row 0 times u^0
-        upow = TaylorEGF.one(order)  # u^n / n!
-        for n in range(1, order + 1):
-            upow = upow * u / n
-            if upow.is_zero():
-                break
-            row = [self.coeffs[m][n] for m in range(order + 1 - n)]
-            if any(row):
-                total = total + TaylorEGF(row, order) * upow
-        return total
+        cols = [[self.coeffs[m][n] for m in range(order + 1 - n)] for n in range(order + 1)]
+        if _starts_polynomial(u.coeffs) or any(map(_starts_polynomial, cols)):
+            return TaylorEGF._raw(_series_dot(
+                [_sparser_first(1, p, col) for p, col in zip(_divided_powers(u, order), cols)],
+                order))
+        d, total = 1, [0] * (order + 1)
+        for p, col in zip(_divided_powers(u, order), cols):
+            if any(col):
+                dn, part = _int_dot([_sparser_first(1, p, col)], order)
+                m = lcm(d, dn)
+                total = [t * (m // d) + c * (m // dn) for t, c in zip(total, part)]
+                d = m
+        return TaylorEGF._raw([div_int(c, d) for c in total] if d > 1 else total)
+
+
+def _divided_powers(u, order):
+    """The coefficients of u^n / n! for n = 0, 1, ..., through x^order,
+    until the first zero power."""
+    upow = TaylorEGF.one(order)
+    yield upow.coeffs
+    for n in range(1, order + 1):
+        upow = upow * u / n
+        if upow.is_zero():
+            return
+        yield upow.coeffs

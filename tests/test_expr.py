@@ -397,8 +397,8 @@ def test_division_and_log_expressions():
 
 
 def test_exp_log_and_reciprocal_make_no_box_products(monkeypatch):
-    # only the user's x*y and the outer * multiply two boxes; exp, log and
-    # division solve their recurrences row by row
+    # only the user's products multiply two boxes (x*y and the outer *, then
+    # y*exp); exp, log and division solve their recurrences row by row
     calls = []
     box_mul = BivariateEGF.__mul__
 
@@ -411,7 +411,24 @@ def test_exp_log_and_reciprocal_make_no_box_products(monkeypatch):
     assert len(calls) == 2
     del calls[:]
     table_from_expr("x/(1-x-y)+y*exp(x+y)", 12)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_negative_powers_and_quotients_make_no_box_products(monkeypatch):
+    # a power with an invertible constant term and a quotient each run one
+    # row recurrence; neither squares a reciprocal box nor multiplies by one
+    calls = []
+    box_mul = BivariateEGF.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return box_mul(a, b)
+
+    monkeypatch.setattr(BivariateEGF, "__mul__", counted)
+    for src in ["(3+x-y)^-3", "(2-x+y/3)^-5", "(1+x-y)^7", "(x+y)/(3+x-y)",
+                "exp(x+y)/(2-x-y)"]:
+        eval_series(parse(src), 10)
+        assert calls == [], src
 
 
 def test_not_expandable_expressions():

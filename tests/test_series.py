@@ -21,6 +21,7 @@ from implicitseries.algebra import (
     dot,
     fsym,
     invert_scalar,
+    power,
 )
 from implicitseries.implicit import CoeffTable
 from implicitseries.series import (
@@ -724,6 +725,84 @@ def test_bivariate_reciprocal_with_a_unit_monomial_constant():
         got = f.reciprocal()
         assert _canon(got) == _canon(_geometric_reciprocal(f, one, c0))
         assert f * got == one
+
+
+@st.composite
+def _power_bases(draw):
+    """(order, coefficients, bivariate) of a base whose constant term is a
+    nonzero number, negative or a Fraction, with entries from dense to
+    sparse."""
+    order = draw(st.integers(0, 5))
+    bivariate = draw(st.booleans())
+    entry = st.one_of(*[st.just(0)] * draw(st.integers(0, 3)),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    size = (order + 1) ** 2 if bivariate else order + 1
+    flat = draw(st.lists(entry, min_size=size, max_size=size))
+    flat[0] = draw(st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool))
+    if bivariate:
+        return order, [flat[m * (order + 1):(m + 1) * (order + 1)] for m in range(order + 1)], True
+    return order, flat, False
+
+
+@settings(max_examples=150, deadline=None)
+@given(_power_bases(), st.integers(-6, 6))
+def test_power_rows_equal_repeated_squaring(base, k):
+    # Miller's recurrence against algebra.power, for every k, the ones that
+    # pow_int squares included; F^k F^-k = 1 checks a negative k
+    order, coeffs, bivariate = base
+    if bivariate:
+        f = BivariateEGF(coeffs)
+        rows = f._rows()
+        got = BivariateEGF([g.coeffs for g in series._power_rows(
+            rows, k, rows[0].pow_int(k), series._divider(rows[0]))])
+        one = BivariateEGF.const(1, order)
+    else:
+        f = TaylorEGF(coeffs)
+        c0, inv0 = f.coeffs[0], invert_scalar(f.coeffs[0])
+        got = TaylorEGF(series._power_rows(f.coeffs, k, c0 ** k if k > 0 else inv0 ** -k,
+                                           lambda s: inv0 * s))
+        one = TaylorEGF.one(order)
+    if k >= 0:
+        assert got == (power(f, k) if k else one)
+    else:
+        assert got * power(f, -k) == one
+    assert got == f.pow_int(k)
+    entries = got.coeffs if not bivariate else [c for row in got.coeffs for c in row]
+    assert all(_canonical_coefficient(c) for c in entries)
+
+
+def test_division_by_f0_equals_the_product_with_its_reciprocal():
+    rng = random.Random(23)
+    cases = []
+    for order in range(7):
+        f0 = _rand_coeffs(rng, order)
+        f0[0] = Fraction(rng.choice([-7, -2, 3, 5]), rng.randrange(1, 6))
+        cases.append((f0, _rand_coeffs(rng, order)))
+    # trailing zeros in the divisor, the dividend or both
+    cases += [([Fraction(3, 2), 1, 0, 0, 0], [1, 2, 0, 0, 0]),
+              ([-1, 0, 0, 0], [0, 0, 0, 5]), ([2, Fraction(1, 3), 0], [0, 0, 0])]
+    # a unit-monomial LaurentPoly constant, with polynomial and rational terms
+    c0 = Fraction(-2, 3) * fsym(0, 1) ** 2
+    cases += [([c0, fsym(1, 1), Fraction(1, 2), 0], [1, fsym(2, 0), 0, Fraction(3, 4)]),
+              ([c0, 0, 0], [Fraction(1, 5), 0, fsym(1, 0)])]
+    for f0, s in cases:
+        f0, s = TaylorEGF(f0), TaylorEGF(s)
+        got = series._divider(f0)(s)
+        assert _canon(got) == _canon(f0.reciprocal() * s)
+        assert f0 * got == s
+
+
+def test_box_quotient_equals_the_product_with_the_reciprocal():
+    rng = random.Random(31)
+    for order in range(6):
+        a = BivariateEGF(_rand_box(rng, order))
+        box = _rand_box(rng, order)
+        box[0][0] = Fraction(rng.choice([-3, 2, 7]), rng.randrange(1, 4))
+        b = BivariateEGF(box)
+        got = a / b
+        assert _canon(got) == _canon(a * _geometric_reciprocal(b, BivariateEGF.const(1, order),
+                                                               box[0][0]))
+        assert got * b == a
 
 
 def test_bivariate_mul_is_commutative_on_sparse_and_dense_operands():
