@@ -76,7 +76,7 @@ def compositions(total: int, parts: int):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def bell_partial(n: int, k: int) -> LaurentPoly:
     """The partial Bell polynomial B(n, k) in X(1..n-k+1).
 
@@ -160,7 +160,7 @@ def inverse_partition_terms(n: int):
         yield r, sign * (factorial(2 * n - 2 - r1) // denom)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def comp_inverse_coeff_poly(n: int) -> LaurentPoly:
     """Laurent polynomial P_n with: the n-th EGF coefficient of the
     compositional inverse of g equals P_n(g_1, ..., g_n), where the g_i are
@@ -181,7 +181,7 @@ def comp_inverse_coeff_poly(n: int) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def stirling1_poly(n: int, k: int) -> LaurentPoly:
     """Multivariable Stirling polynomial of the first kind A(n, k): the
     unique family orthogonal to the partial Bell polynomials.
@@ -240,7 +240,7 @@ def generic_monomial_count(order: int) -> int:
     return counts[order][order - 1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def stirling_number(n: int, k: int, kind: str) -> int:
     """Classical Stirling numbers by their recurrences; kind is 'first'
     (signed) or 'second'.  Deliberately independent of the polynomial

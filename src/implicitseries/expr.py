@@ -347,17 +347,17 @@ def table_from_expr(src, order) -> CoeffTable:
     """Parse and evaluate f(x, y), returning its coefficient table.
 
     Raises ParseError for bad syntax, the series-domain errors for
-    unevaluable expressions, and NotExpandableError when the resulting
-    table fails the expandability conditions.
+    unevaluable expressions, and NotExpandableError when the table fails
+    the expandability conditions.  Those read only f(0, 0) and f(0, 1),
+    which no order changes, so they are checked on the tree evaluated at
+    order 1, before the box of the requested order is built.
     """
     node = parse(src) if isinstance(src, str) else src
-    f = eval_series(node, order)
-    entries = {}
-    for m in range(order + 1):
-        for n in range(order + 1):
-            c = f.coeffs[m][n]
-            if c:
-                entries[(m, n)] = c
-    table = CoeffTable(order, entries, "rational")
-    ensure_valid(table)
-    return table
+
+    def table_at(n):
+        rows = eval_series(node, n).coeffs
+        return CoeffTable(n, {(i, j): c for i, row in enumerate(rows)
+                              for j, c in enumerate(row) if c}, "rational")
+
+    ensure_valid(table_at(1))
+    return table_at(order)

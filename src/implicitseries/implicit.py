@@ -14,10 +14,10 @@ y_1, y_2, ... of the unique formal solution are computed three ways:
 
 Direct and compose evaluate the same substitution, direct through Bell
 polynomials in the f(m, 0) column, and read the same inverse-relation
-series g_k: built once each, in increasing k, into one memo per expansion
-order on the table.  Symbolic tables build g_k by the paper's partition
-sum, one product of column powers per partition of k-1; rational tables
-by Lagrange inversion with Miller's power recurrence, O(k^2) series
+series g_k: built once each, in increasing k, into one memo on the
+table.  Symbolic tables build g_k by the paper's partition sum, one
+product of column powers per partition of k-1; rational tables by
+Lagrange inversion with Miller's power recurrence, O(k^2) series
 products.  Newton is the independent cross-check.
 
 In rational mode the coefficients are exact scalars -- an int when
@@ -92,7 +92,8 @@ class CoeffTable:
         self.order = order
         self.mode = mode
         self._entries = box
-        self._cache = {}
+        # the Bell values of y_coeff_direct and the _inverse_coeff_series memo
+        self._cache = {"bell": {}, "inverse": ([], {})}
 
     @classmethod
     def rational(cls, order, entries):
@@ -189,8 +190,8 @@ def _column_power(table, powers, n, exponent, order):
     x^order.
 
     powers is the dict of column powers (and of _lagrange_g's column
-    ratios) shared by the g_j of one _inverse_coeff_series memo entry, or
-    held by one g_k built alone.  A power is built the first time it is
+    ratios) shared by the g_j of the table's _inverse_coeff_series memo,
+    or held by one g_k built alone.  A power is built the first time it is
     asked for, at that order, and stored; the orders asked of it
     afterwards only fall, so the stored series is always long enough."""
     val = powers.get((n, exponent))
@@ -211,9 +212,9 @@ def inverse_taylor_coeff(table, k, l):
     """Taylor coefficient a(k, l): the l-th x-coefficient of the k-th
     EGF coefficient of the inverse relation x(y) attached to the table.
 
-    Read off g_k of _inverse_coeff_series at top = N, N the table order,
-    the entry direct and compose share, when l <= N - k; otherwise off g_k
-    built alone through x^l, with powers of its own, and kept nowhere.
+    Read off g_k of _inverse_coeff_series, which direct and compose share,
+    when l <= N - k, N the table order; otherwise off g_k built alone
+    through x^l, with powers of its own, and kept nowhere.
     """
     if k < 1:
         raise TableError("k must be at least 1")
@@ -221,7 +222,7 @@ def inverse_taylor_coeff(table, k, l):
         raise TableError("index outside the table order")
     ensure_valid(table)
     if k + l <= table.order:
-        return _inverse_coeff_series(table, k, table.order).coeffs[l]
+        return _inverse_coeff_series(table, k).coeffs[l]
     return _build_g(table, {}, k, l).coeffs[l]
 
 
@@ -231,17 +232,17 @@ def y_coeff_direct(table, m):
         y_m = sum_{n=1}^{m} C(m, n) sum_{k=1}^{n} (-1)^k a(k, m-n)
                                      B(n, k)(f(1,0), ..., f(n-k+1,0)).
 
-    a(k, l) is coefficient l of g_k, read at top = N, where g_k is exact
-    through x^(N-k) and m - n <= N - k.
+    a(k, l) is coefficient l of g_k, which is exact through x^(N-k), N
+    the table order, and m - n <= N - k.
     """
     ensure_valid(table)
     if not (1 <= m <= table.order):
         raise TableError("coefficient index outside the table order")
     args = tuple(table.entry(i, 0) for i in range(1, m + 1))
-    g = [_inverse_coeff_series(table, k, table.order).coeffs for k in range(1, m + 1)]
+    g = [_inverse_coeff_series(table, k).coeffs for k in range(1, m + 1)]
     # B(n, k) at column 0 is the same for every m, so its memo lives on
     # the table
-    bell_memo = table._cache.setdefault("bell", {})
+    bell_memo = table._cache["bell"]
     terms = []
     for n in range(1, m + 1):
         c = comb(m, n)
@@ -388,31 +389,21 @@ def _build_g(table, powers, j, order):
     return build(table, powers, j, order)
 
 
-def _inverse_coeff_series(table, k, top):
+def _inverse_coeff_series(table, k):
     """The k-th EGF coefficient g_k of the inverse relation as a series in
-    x, exact through x^(top - k), top at most N, the table order.
+    x, exact through x^(N - k), N the table order.
 
     g_k is the k-th EGF coefficient of the reversion in y of
     f(x, y) - f(x, 0), over series in x, built by `_build_g`.
 
-    The table keeps one memo entry per top: the g_j built so far and the
-    column powers they share.  A call builds g_1, g_2, ... up to g_k in
-    turn, once each, so the order asked of a power only falls and its
-    first build is the longest ever read.  Below the table order (compose
-    at M < N after direct), an entry of a larger top that holds g_k is
-    exact through x^(top - k) as well, so g_k is read from it truncated
-    and no entry is opened for this top.  Every caller asks for a top in
-    1..N, so the memo holds at most N entries besides the Bell memo."""
-    gs = table._cache.get(("inverse", top), ((),))[0]
-    if len(gs) < k:
-        if top < table.order:
-            for key, entry in table._cache.items():
-                if key != "bell" and key[1] > top and len(entry[0]) >= k:
-                    return entry[0][k - 1].truncate(top - k)
-        gs, powers = table._cache.setdefault(("inverse", top), ([], {}))
-        while len(gs) < k:
-            j = len(gs) + 1
-            gs.append(_build_g(table, powers, j, top - j))
+    The table keeps one memo: the g_j built so far and the column powers
+    they share.  A call builds g_1, g_2, ... up to g_k in turn, once each,
+    so the order asked of a power only falls and its first build is the
+    longest ever read."""
+    gs, powers = table._cache["inverse"]
+    while len(gs) < k:
+        j = len(gs) + 1
+        gs.append(_build_g(table, powers, j, table.order - j))
     return gs[k - 1]
 
 
@@ -424,9 +415,9 @@ def expand_compose(table, order=None):
         y(x) = sum_{k>=1} g_k(x) (-f(x,0))^k / k!
 
     Direct evaluates the same sum through Bell polynomials.  The k-th term
-    starts at x^(v*k) or later, v the valuation of f(x, 0), so g_k is built
-    only for k <= N // v (for no k when the column is zero) and only
-    through x^(N-k).
+    starts at x^(v*k) or later, v the valuation of f(x, 0), so g_k is read
+    only for k <= M // v, M the expansion order (for no k when the column
+    is zero), and only through x^(M-k).
     """
     order = _expansion_order(table, order)
     t0 = time.perf_counter()
@@ -434,7 +425,7 @@ def expand_compose(table, order=None):
     v = next((m for m, c in enumerate(phi0.coeffs) if c), 0)
     box = [[_ZERO] * (order + 1) for _ in range(order + 1)]
     for k in range(1, order // v + 1 if v else 1):
-        g = _inverse_coeff_series(table, k, order).coeffs
+        g = _inverse_coeff_series(table, k).coeffs
         for m in range(order - k + 1):
             box[m][k] = g[m]
     total = BivariateEGF(box).substitute_y(-phi0)

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -307,6 +311,24 @@ def test_status_2_not_expandable(capsys):
     assert code == 2 and "not expandable" in err
     code, _, _ = run(capsys, "--expr", "x*y + x", "-N", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", [
+    "(3+x-y)^-1000000+y",  # f(0,0) = 3^-1000000
+    "x-(3+x-y)^-1000000*y^2",  # f(0,1) = 0
+], ids=["nonzero_f00", "zero_f01"])
+def test_status_2_before_the_box_is_built(text):
+    # every coefficient of the order-150 box would carry a denominator of
+    # about 1.6 Mbit; f(0,0) and f(0,1) are read off the tree at order 1,
+    # in a fresh process as a user runs it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "implicitseries.cli", f"--expr={text}", "-N", "150",
+         "--method", "newton"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: not expandable") and proc.stderr.count("\n") == 1
 
 
 def test_status_2_from_input_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Source hygiene that needs no linter: no module imports a name it never
-uses, and the package defines no function or class that nothing uses.
+uses, the package defines no function or class that nothing uses, and no
+cache of the package can grow without bound.
 
 The checks read the syntax tree with the standard library's `ast`.  A name
 counts as used when the module reads it anywhere or lists it in `__all__`,
@@ -7,6 +8,7 @@ which is how a package re-exports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -117,3 +119,13 @@ def test_the_scan_sees_unreferenced_definitions():
 def test_no_unreferenced_definitions():
     sources = {p.stem: p.read_text() for p in PACKAGE}
     assert unreferenced_definitions(sources) == []
+
+
+def test_no_cache_grows_with_every_distinct_input():
+    # a long-lived process sees unboundedly many distinct arguments
+    modules = [importlib.import_module("implicitseries" if p.stem == "__init__"
+                                       else f"implicitseries.{p.stem}") for p in PACKAGE]
+    unbounded = [(module.__name__, name) for module in modules
+                 for name, obj in vars(module).items()
+                 if callable(getattr(obj, "cache_info", None)) and obj.cache_info().maxsize is None]
+    assert unbounded == []

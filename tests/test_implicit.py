@@ -258,34 +258,40 @@ def test_methods_agree_symbolically():
         assert expand_direct(t).y == expand_compose(t).y == expand_newton(t).y
 
 
+def _recording_build_g(monkeypatch):
+    """The (j, order) of every `_build_g` call from here on, in order."""
+    builds = []
+    build_g = implicit._build_g
+
+    def recording(table, powers, j, order):
+        builds.append((j, order))
+        return build_g(table, powers, j, order)
+
+    monkeypatch.setattr(implicit, "_build_g", recording)
+    return builds
+
+
 def test_compose_builds_each_g_k_only_through_n_minus_k(monkeypatch):
     # f(x,0)^k / k! has valuation k, so only x^0..x^(N-k) of g_k can reach
-    # the result; compose must not build g_k any further
-    requests = []
-    inverse_coeff_series = implicit._inverse_coeff_series
-
-    def recording(table, k, top):
-        g = inverse_coeff_series(table, k, top)
-        requests.append((k, top, g.order))
-        return g
-
-    monkeypatch.setattr(implicit, "_inverse_coeff_series", recording)
+    # a y_m, N the table order; compose at M <= N builds g_k no further,
+    # and only for k <= M
+    builds = _recording_build_g(monkeypatch)
     dense = _random_table(random.Random(808), 6, zero_chance=0.0)
     for table, order in ((CoeffTable.symbolic(6), 6), (dense, 4)):
-        requests.clear()
+        builds.clear()
         got = expand_compose(table, order).y
-        assert requests == [(k, order, order - k) for k in range(1, order + 1)]
-        built, _ = table._cache[("inverse", order)]
-        assert [g.order for g in built] == [order - k for k in range(1, order + 1)]
+        assert builds == [(k, 6 - k) for k in range(1, order + 1)]
+        built, _ = table._cache["inverse"]
+        assert [g.order for g in built] == [6 - k for k in range(1, order + 1)]
         assert got == expand_direct(table, order).y
     # (-f(x,0))^k has valuation 3k when f(x,0) = -x^3, so only g_1 and g_2
     # reach x^7; a zero f(x,0) column needs no g_k at all
-    for src, want in (("y*exp(y) + x*y - x^3", [(1, 7, 6), (2, 7, 5)]), ("y*exp(x + y)", [])):
-        table = table_from_expr(src, 7)
-        requests.clear()
+    for src, want in (("y*exp(y) + x*y - x^3", [(1, 8), (2, 7)]), ("y*exp(x + y)", [])):
+        table = table_from_expr(src, 9)
+        builds.clear()
         got = expand_compose(table, 7).y
-        assert requests == want
-        assert len(table._cache.get(("inverse", 7), ([], {}))[0]) == len(want)
+        assert builds == want
+        assert len(table._cache["inverse"][0]) == len(want)
         assert got == expand_direct(table, 7).y
 
 
@@ -311,7 +317,7 @@ def test_direct_builds_the_top_column_power_only_to_its_constant_term():
     order = 6
     t = CoeffTable.symbolic(order)
     expand_direct(t)
-    _, powers = t._cache[("inverse", order)]
+    _, powers = t._cache["inverse"]
     assert powers[(1, -(2 * order - 1))].order == 0
 
 
@@ -335,10 +341,14 @@ def test_direct_then_compose_build_each_column_power_once(monkeypatch):
         assert builds and set(builds.values()) == {1}, builds
 
 
+def _series_orders(table):
+    return [g.order for g in table._cache["inverse"][0]]
+
+
 def test_inverse_taylor_coeff_is_exact_in_any_call_order():
     # a(k, l) above l = N - k reads g_k built alone and kept nowhere, so no
-    # call order changes what another call reads, and the only memo entry
-    # is the one at top = N
+    # call order changes what another call reads, and the one memo holds
+    # each g_k it builds through x^(N-k)
     order = 6
     calls = [(6, 0), (5, 0), (6, 3), (5, 4)] + [(k, order) for k in (1, 2, 3)]
     fresh = {(k, l): inverse_taylor_coeff(CoeffTable.symbolic(order), k, l)
@@ -349,29 +359,23 @@ def test_inverse_taylor_coeff_is_exact_in_any_call_order():
             assert inverse_taylor_coeff(t, k, l) == fresh[(k, l)], (k, l)
         for k, l in seq:
             assert inverse_taylor_coeff(t, k, l) == fresh[(k, l)], (k, l)
-        tops = {key[1] for key in t._cache if key[0] == "inverse"}
-        assert tops == {order}
+        assert _series_orders(t) == [order - k for k in range(1, order + 1)]
 
 
-def test_each_g_k_is_exact_through_top_minus_k_at_most_n():
-    # every memo entry has top <= N; a(k, N) builds g_k alone, opens no
-    # entry, and reads what the memo at top = N + k of the same table
-    # padded with zeros to order N + k reads
+def test_each_g_k_is_exact_through_n_minus_k():
+    # the memo holds g_k through x^(N-k); a(k, N) builds g_k alone, adds
+    # nothing to the memo, and reads what the memo of the same table padded
+    # with zeros to order N + k reads
     order = 6
     t = CoeffTable.symbolic(order)
-
-    def series_orders(top):
-        return [g.order for g in t._cache[("inverse", top)][0]]
-
     direct = expand_direct(t).y
-    assert series_orders(order) == [order - k for k in range(1, order + 1)]
-    keys = set(t._cache)
+    assert _series_orders(t) == [order - k for k in range(1, order + 1)]
+    held = list(t._cache["inverse"][0])
     for k in range(1, order + 1):
         padded = CoeffTable(order + k, t.entries(), "symbolic")
         assert inverse_taylor_coeff(t, k, order) == inverse_taylor_coeff(padded, k, order)
-        assert [key for key in padded._cache if key != "bell"] == [("inverse", order + k)]
-    assert set(t._cache) == keys
-    assert series_orders(order) == [order - k for k in range(1, order + 1)]
+        assert _series_orders(padded) == [order + k - j for j in range(1, k + 1)]
+    assert t._cache["inverse"][0] == held
     assert expand_compose(t).y == direct
 
 
@@ -396,48 +400,66 @@ def test_direct_makes_no_inverse_taylor_coeff_call(monkeypatch):
     _random_table(random.Random(1212), 6, zero_chance=0.0),
 ], ids=["symbolic4", "dense6"])
 def test_the_inverse_memo_stays_bounded_and_replaces_nothing(table):
-    # direct, compose at every order, then every public a(k, l): at most
-    # one memo entry per top in 1..N besides the Bell memo, and a g_k or a
-    # column power, once held, is never replaced
+    # direct, compose at every order and every public a(k, l), in any order:
+    # the table holds the Bell memo and one inverse memo, each g_j in it
+    # exact through x^(N-j), and a g_j or a column power, once held, is
+    # never replaced
     order = table.order
-    seen = {}
 
-    def snapshot():
-        for key, entry in table._cache.items():
-            if key == "bell":
-                continue
-            gs, powers = entry
-            held = [("g", j) for j in range(len(gs))] + list(powers)
-            values = list(gs) + list(powers.values())
-            for name, value in zip(held, values):
-                assert seen.setdefault((key, name), value) is value, (key, name)
+    def direct(t):
+        expand_direct(t)
 
-    expand_direct(table)
-    snapshot()
-    for m in range(1, order + 1):
-        expand_compose(table, m)
-        snapshot()
-    for k in range(1, order + 1):
-        for l in range(order + 1):
-            inverse_taylor_coeff(table, k, l)
-            snapshot()
-    assert len(table._cache) <= order + 1
-    assert {key[1] for key in table._cache if key != "bell"} <= set(range(1, order + 1))
+    def compose(t):
+        for m in range(1, order + 1):
+            expand_compose(t, m)
+
+    def public(t):
+        for k in range(1, order + 1):
+            for l in range(order + 1):
+                inverse_taylor_coeff(t, k, l)
+
+    for steps in ((direct, compose, public), (compose, public, direct),
+                  (public, direct, compose)):
+        t = CoeffTable(order, table.entries(), table.mode)
+        seen = {}
+        for step in steps:
+            step(t)
+            gs, powers = t._cache["inverse"]
+            for name, value in [*enumerate(gs), *powers.items()]:
+                assert seen.setdefault(name, value) is value, name
+        assert set(t._cache) == {"bell", "inverse"}
+        assert _series_orders(t) == [order - j for j in range(1, order + 1)]
+
+
+def test_each_g_k_is_built_once_whatever_order_the_methods_run_in(monkeypatch):
+    # compose below the table order, then direct, then every a(k, l) that
+    # the memo covers: one build of each g_j in all
+    builds = _recording_build_g(monkeypatch)
+    for table in (CoeffTable.symbolic(6), builtin_table("lambert", 8),
+                  _random_table(random.Random(1414), 6, zero_chance=0.0)):
+        order = table.order
+        builds.clear()
+        compose = expand_compose(table, order - 2).y
+        direct = expand_direct(table).y
+        assert compose == direct[:order - 2]
+        for k in range(1, order + 1):
+            for l in range(order - k + 1):
+                inverse_taylor_coeff(table, k, l)
+        assert builds == [(j, order - j) for j in range(1, order + 1)]
 
 
 @pytest.mark.parametrize("table", [CoeffTable.symbolic(6), builtin_table("lambert", 8)],
                          ids=["symbolic6", "lambert8"])
 def test_compose_below_the_table_order_reads_direct_s_g_k(monkeypatch, table):
-    # the entry at top = N holds each g_k through x^(N-k), which covers
-    # what compose at N-1 reads, so compose builds no g_k and opens no entry
+    # the memo holds each g_k through x^(N-k), which covers what compose
+    # at N-1 reads, so compose builds no g_k
     order = table.order
     direct = expand_direct(table).y
-    keys = set(table._cache)
     builds = []
     for name in ("_partition_g", "_lagrange_g"):
         monkeypatch.setattr(implicit, name, lambda *args: builds.append(args))
     assert expand_compose(table, order - 1).y == direct[:-1]
-    assert builds == [] and set(table._cache) == keys
+    assert builds == []
 
 
 _column_kinds = st.sampled_from(["zero", "constant", "polynomial", "dense"])
@@ -464,8 +486,8 @@ def _lagrange_tables(draw):
 @settings(max_examples=80, deadline=None)
 @given(_lagrange_tables(), st.integers(0, 3))
 def test_lagrange_g_matches_the_partition_sum(t, extra):
-    # every g_j of one memo entry, built in turn with falling orders as
-    # _inverse_coeff_series builds them, at top = N and above
+    # every g_j, built in turn with falling orders as _inverse_coeff_series
+    # builds them (extra = 0), and through up to extra more powers of x
     top = t.order + extra
     lagrange, partition = {}, {}
     for j in range(1, t.order + 1):
@@ -627,9 +649,9 @@ def test_direct_sums_every_product_in_one_fused_pass(monkeypatch):
     # the sums behind g_k and y_m all go through algebra.dot: on the way to
     # y_m no polynomial is added to another or scaled by a number on its own.
     # g_1, the one reciprocal of column 1, a plain recurrence run once per
-    # memo entry, is built beforehand.
+    # table, is built beforehand.
     table = CoeffTable.symbolic(8)
-    implicit._inverse_coeff_series(table, 1, 8)
+    implicit._inverse_coeff_series(table, 1)
     calls = []
 
     def refused(name, operand_is_ok):
