@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from implicitseries import implicit
+from implicitseries import algebra, implicit
 from implicitseries.algebra import (
     LaurentPoly,
     as_coefficient,
@@ -215,6 +215,12 @@ def test_generic_monomial_count_matches_the_direct_census():
     r = expand_direct(CoeffTable.symbolic(10))
     assert [monomial_count(v) for v in r.y] == [
         generic_monomial_count(n) for n in range(1, 11)]
+
+
+def test_generic_monomial_count_matches_the_direct_y_16():
+    # one past the published y_15 census
+    y = y_coeff_direct(CoeffTable.symbolic(16), 16)
+    assert monomial_count(y) == generic_monomial_count(16) == 168_883
 
 
 def test_generic_coefficient_signs_follow_the_f01_power():
@@ -495,6 +501,59 @@ def test_lagrange_g_matches_the_partition_sum(t, extra):
         got = implicit._lagrange_g(t, lagrange, j, order)
         want = implicit._partition_g(t, partition, j, order)
         _assert_same_canonical(list(got.coeffs), list(want.coeffs))
+
+
+def _flat_partition_g(table, j, order):
+    """g_j through x^order as the flat partition sum: for each vector r,
+    its weight times the product of its column powers, each power built
+    afresh by pow_int and multiplied in by the series product."""
+    total = TaylorEGF.zero(order)
+    for r, weight in inverse_partition_terms(j):
+        prod = column_series(table, 1, order).pow_int(r[0] - 2 * j + 1)
+        for nu in range(2, j + 1):
+            if r[nu - 1]:
+                prod = prod * column_series(table, nu, order).pow_int(r[nu - 1])
+        total = total + TaylorEGF([weight * c for c in prod.coeffs])
+    return total
+
+
+def _assert_partition_g_is_the_flat_sum(table):
+    # one powers dict across j, with the falling orders of the memo
+    powers = {}
+    for j in range(1, table.order + 1):
+        order = table.order - j
+        got = implicit._partition_g(table, powers, j, order)
+        want = _flat_partition_g(table, j, order)
+        _assert_same_canonical(list(got.coeffs), list(want.coeffs))
+
+
+def test_partition_g_is_the_flat_partition_sum_symbolically():
+    # the nested sum regroups the terms of the flat one and must not
+    # change a single monomial
+    _assert_partition_g_is_the_flat_sum(CoeffTable.symbolic(7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lagrange_tables())
+def test_partition_g_is_the_flat_partition_sum_on_rational_tables(t):
+    _assert_partition_g_is_the_flat_sum(t)
+
+
+def test_the_generic_y_12_makes_at_most_35000_term_pairs(monkeypatch):
+    # every term product of the kernel runs through addmul_terms; the
+    # nested partition sum makes 32,244 term pairs for the generic y_12,
+    # where the flat sum, one product chain per partition, made 40,207
+    pairs = [0]
+    kernel = algebra.addmul_terms
+
+    def counting(out, k, a, b):
+        pairs[0] += len(a) * len(b)
+        return kernel(out, k, a, b)
+
+    monkeypatch.setattr(algebra, "addmul_terms", counting)
+    y = y_coeff_direct(CoeffTable.symbolic(12), 12)
+    assert monomial_count(y) == generic_monomial_count(12)
+    assert pairs[0] <= 35_000
 
 
 def test_lambert_inverse_relation_at_60_is_the_tree_function():
