@@ -13,9 +13,6 @@ from .algebra import (
     LaurentPoly,
     NotInvertibleError,
     fsym,
-    poly_eval,
-    poly_mul,
-    poly_normalize,
     xsym,
 )
 from .combinatorics import (
@@ -57,9 +54,6 @@ __all__ = [
     "LaurentPoly",
     "NotInvertibleError",
     "fsym",
-    "poly_eval",
-    "poly_mul",
-    "poly_normalize",
     "xsym",
     "bell_eval",
     "bell_partial",

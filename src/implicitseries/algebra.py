@@ -580,27 +580,6 @@ def xsym(i: int) -> LaurentPoly:
     return LaurentPoly.variable(xcode(i))
 
 
-def poly_normalize(p) -> LaurentPoly:
-    """Canonical representative: like monomials merged, zeros removed.
-
-    Accepts a LaurentPoly or raw term data (dict or iterable of
-    (flat monomial tuple, coefficient) pairs).  Idempotent.
-    """
-    if isinstance(p, LaurentPoly):
-        return LaurentPoly._raw({m: _canonical(c) for m, c in p._terms.items()}, p._bound)
-    return LaurentPoly(p)
-
-
-def poly_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact normalized product."""
-    return a * b
-
-
-def poly_eval(p: LaurentPoly, assignment):
-    """Evaluate a polynomial at rational values; see LaurentPoly.eval."""
-    return p.eval(assignment)
-
-
 def invert_scalar(c):
     """Multiplicative inverse in the coefficient ring, in canonical form.
 

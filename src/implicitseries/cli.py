@@ -152,6 +152,8 @@ def load_table_file(path, order):
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise FormatError(f"{path}: not valid JSON ({e})") from None
+        except RecursionError:
+            raise FormatError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(data, dict):
         raise FormatError("table file must hold a JSON object")
     max_m = _require_key(data, "max_m", int, "table file")

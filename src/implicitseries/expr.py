@@ -9,9 +9,9 @@ The grammar is deliberately small:
     exponent:=  '-'? INT ('^' exponent)?          (right-associative)
     atom    :=  NUMBER | 'x' | 'y' | ('exp'|'log') '(' sum ')' | '(' sum ')'
 
-Numbers are nonnegative integer or p/q rational literals; "1/2" lexes as
-one token when the slash immediately joins two digit runs, so it binds
-tighter than division.  '^' takes integer literal exponents only and binds
+Numbers are nonnegative integer or p/q rational literals, q nonzero; "1/2"
+lexes as one token when the slash immediately joins two digit runs, so it
+binds tighter than division.  '^' takes integer literal exponents only and binds
 tighter than unary minus; an exponent, tower or not, may not exceed
 MAX_EXPONENT in magnitude, and parentheses and towers MAX_NESTING levels
 in depth.  There is no implicit multiplication.
@@ -19,9 +19,8 @@ in depth.  There is no implicit multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Union
 
 from .implicit import CoeffTable, ensure_valid
 from .series import BivariateEGF
@@ -37,10 +36,7 @@ class ParseError(ValueError):
         super().__init__(f"{message} at byte {pos}{tail}")
 
 
-class Token(NamedTuple):
-    kind: str  # 'number' | 'name' | 'op' | 'end'
-    text: str
-    pos: int
+Token = namedtuple("Token", "kind text pos")  # kind: 'number', 'name', 'op' or 'end'
 
 
 _OPS = set("+-*/^()")
@@ -93,41 +89,66 @@ def tokenize(src):
     return out
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class _Node:
+    """An immutable expression node whose fields are its __slots__.  Its ==
+    (types matched, fields equal), hash and repr (the constructor call with
+    keyword fields) walk the tree in a loop, so that any depth works."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _preorder(self):
+        """Each node's type and fields in preorder, a child standing as its
+        type: equal lists are equal trees."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            fields = [getattr(node, name) for name in node.__slots__]
+            out.append((type(node), *[type(v) if isinstance(v, _Node) else v for v in fields]))
+            stack += [v for v in reversed(fields) if isinstance(v, _Node)]
+        return out
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._preorder() == other._preorder()
+
+    def __hash__(self):
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self):
+        parts, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, _Node):
+                todo = []  # ", name=value" per field, the first without its comma
+                for name in item.__slots__:
+                    value = getattr(item, name)
+                    todo += [", ", f"{name}=", value if isinstance(value, _Node) else repr(value)]
+                stack += reversed(todo[1:] + [")"])
+                item = f"{type(item).__qualname__}("
+            parts.append(item)
+        return "".join(parts)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Node"
-
-
-Node = Union[Num, Var, Neg, BinOp, Pow, Call]
+# the node types, each field a slot, in the order the constructor takes them
+class Num(_Node): __slots__ = ("value",)
+class Var(_Node): __slots__ = ("name",)
+class Neg(_Node): __slots__ = ("operand",)
+class BinOp(_Node): __slots__ = ("op", "left", "right")
+class Pow(_Node): __slots__ = ("base", "exponent")
+class Call(_Node): __slots__ = ("func", "arg")
 
 
 class _Parser:
@@ -224,6 +245,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.take()
+            if "/" in tok.text and not int(tok.text.partition("/")[2]):
+                raise ParseError(f"zero denominator in {tok.text!r}", tok.pos)
             return Num(Fraction(tok.text))
         if tok.kind == "name":
             self.take()
@@ -241,7 +264,7 @@ class _Parser:
         )
 
 
-def parse(src) -> Node:
+def parse(src):
     p = _Parser(tokenize(src))
     node = p.parse_sum()
     tok = p.peek()

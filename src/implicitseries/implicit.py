@@ -30,7 +30,6 @@ polynomials in the table symbols, with negative powers of F(0, 1) only.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from math import comb, gcd, lcm
 
 from .algebra import (
@@ -255,7 +254,6 @@ def y_coeff_direct(table, m):
     return _in_mode(table, dot(terms))
 
 
-@dataclass
 class ExpansionResult:
     """Coefficients y_1..y_order plus per-coefficient diagnostics.
 
@@ -265,10 +263,11 @@ class ExpansionResult:
     every method the seconds sum to at most the time of the call.
     """
 
-    order: int
-    method: str
-    y: list
-    diagnostics: list = field(default_factory=list)
+    __slots__ = ("order", "method", "y", "diagnostics")
+
+    def __init__(self, order, method, y, diagnostics=None):
+        self.order, self.method, self.y = order, method, y
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     def coeff(self, m):
         """y_m, 1-based."""

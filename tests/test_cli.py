@@ -293,9 +293,11 @@ def test_input_file_rejects_malformed_shapes(tmp_path, capsys, body):
 
 def test_input_file_invalid_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{not json", encoding="utf-8")
-    code, _, err = run(capsys, "--input", str(path), "-N", "2")
-    assert code == 1 and "JSON" in err
+    # the second body is nested deeper than json.load can recurse
+    for body in ("{not json", "[" * 100000 + "]" * 100000):
+        path.write_text(body, encoding="utf-8")
+        code, _, err = run(capsys, "--input", str(path), "-N", "2")
+        assert code == 1 and "JSON" in err and err.count("\n") == 1
 
 
 def test_input_file_missing(capsys):
@@ -337,9 +339,11 @@ def test_status_2_from_input_file(tmp_path, capsys):
     assert code == 2
 
 
-def test_status_1_parse_error(capsys):
-    code, _, err = run(capsys, "--expr", "x + ", "-N", "2")
-    assert code == 1 and "byte 4" in err
+@pytest.mark.parametrize("text, pos", [("x + ", 4), ("y+1/0", 2), ("y-x+0/0", 4)],
+                         ids=["trailing_operator", "zero_denominator", "zero_over_zero"])
+def test_status_1_parse_error(capsys, text, pos):
+    code, _, err = run(capsys, "--expr", text, "-N", "2")
+    assert code == 1 and f"byte {pos}" in err and err.count("\n") == 1
 
 
 def test_status_1_exponent_tower_fails_fast(capsys):

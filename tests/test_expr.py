@@ -90,7 +90,7 @@ def test_chains_of_any_length_parse_and_evaluate_in_loops():
     # each chain nests the tree 5000 deep, five times the recursion limit
     minuses, terms = parse("-" * 5000 + "y"), parse("+".join(["y"] * 5000))
     node, depth = minuses, 0
-    while isinstance(node, Neg):  # a loop, as == on such a tree recurses
+    while isinstance(node, Neg):
         node, depth = node.operand, depth + 1
     assert (depth, node) == (5000, Var("y"))
     node, depth = terms, 0
@@ -112,6 +112,62 @@ def test_alternating_minus_and_sum_chains_evaluate_in_one_loop():
     assert eval_series(node, 2) == BivariateEGF.var_x(2)
     odd = Neg(BinOp("+", node, Var("y")))
     assert eval_series(odd, 2) == eval_series(parse("-x-y"), 2)
+
+
+def _alternating(leaf, levels):
+    node = Var(leaf)
+    for _ in range(levels):
+        node = Neg(BinOp("+", node, Var("y")))
+    return node
+
+
+@pytest.mark.parametrize("build, opening, closing, depth", [
+    (lambda leaf: parse("-" * 5000 + leaf), "Neg(operand=", ")", 5000),
+    (lambda leaf: parse(leaf + "+y" * 5000), "BinOp(op='+', left=",
+     ", right=Var(name='y'))", 5000),
+    (lambda leaf: _alternating(leaf, 2000), "Neg(operand=BinOp(op='+', left=",
+     ", right=Var(name='y')))", 2000),
+], ids=["minuses", "sum_chain", "alternating"])
+def test_deep_trees_compare_hash_and_print(build, opening, closing, depth):
+    # each tree is deeper than the recursion limit; the twin is built
+    # apart, and the other tree differs from it only in the deepest leaf
+    tree, twin, other = build("y"), build("y"), build("x")
+    assert tree is not twin and tree == twin and hash(tree) == hash(twin)
+    assert tree != other and not tree == other
+    assert repr(tree) == opening * depth + "Var(name='y')" + closing * depth
+    assert repr(other) == opening * depth + "Var(name='x')" + closing * depth
+
+
+def test_node_equality_hash_and_repr():
+    tree = parse("-exp(1/2+x)^2*y")
+    assert repr(tree) == (
+        "BinOp(op='*', left=Neg(operand=Pow(base=Call(func='exp', arg=BinOp(op='+', "
+        "left=Num(value=Fraction(1, 2)), right=Var(name='x'))), exponent=2)), "
+        "right=Var(name='y'))")
+    assert tree == parse("-(exp(1/2+x))^2*y") and tree != parse("-exp(1/2+x)^2/y")
+    assert Num(1) == Num(Fraction(1)) and hash(Num(1)) == hash(Num(Fraction(1)))
+    assert Num(1) != Var(1) and Num(1) != 1 and BinOp("+", Num(1), Var("y")) != Num(1)
+    assert BinOp("+", Num(1), Var("y")) != BinOp("+", Var(1), Var("y"))
+    assert BinOp("+", Var("y"), 1) != BinOp("+", 1, Var("y"))  # a field, not a child
+    assert len({parse("x+y"), parse("(x)+(y)"), parse("y+x")}) == 2
+    with pytest.raises(TypeError):
+        Pow(Var("y"))
+
+
+@pytest.mark.parametrize("node, field", [
+    (Num(Fraction(1, 2)), "value"), (Var("x"), "name"), (Neg(Var("x")), "operand"),
+    (BinOp("+", Var("x"), Var("y")), "left"), (Pow(Var("y"), 2), "exponent"),
+    (Call("exp", Var("y")), "func"),
+])
+def test_node_fields_cannot_be_assigned(node, field):
+    before = repr(node)
+    with pytest.raises(AttributeError):
+        setattr(node, field, Var("y"))
+    with pytest.raises(AttributeError):
+        delattr(node, field)
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    assert repr(node) == before
 
 
 def test_nesting_and_towers_stop_at_max_nesting():

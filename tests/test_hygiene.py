@@ -1,6 +1,7 @@
 """Source hygiene that needs no linter: no module imports a name it never
-uses, the package defines no function or class that nothing uses, and no
-cache of the package can grow without bound.
+uses, the package defines no function or class that nothing uses, no
+cache of the package can grow without bound, and importing the package
+loads no stdlib module beyond those it names.
 
 The checks read the syntax tree with the standard library's `ast`.  A name
 counts as used when the module reads it anywhere or lists it in `__all__`,
@@ -9,6 +10,9 @@ which is how a package re-exports.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,3 +133,25 @@ def test_no_cache_grows_with_every_distinct_input():
                  for name, obj in vars(module).items()
                  if callable(getattr(obj, "cache_info", None)) and obj.cache_info().maxsize is None]
     assert unbounded == []
+
+
+# every stdlib module the package imports by name; what these load in turn
+# differs between Python versions, so the test compares against them
+STDLIB_NAMED = ("__future__", "argparse", "collections", "contextlib", "fractions",
+                "functools", "itertools", "json", "math", "operator", "re", "sys", "time")
+
+
+def _modules_loaded_by(statement):
+    """sys.modules after the statement, in a fresh interpreter without site."""
+    code = f"{statement}\nimport sys\nprint('\\n'.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    return set(proc.stdout.split())
+
+
+def test_the_package_loads_no_stdlib_module_beyond_those_it_names():
+    baseline = _modules_loaded_by("import " + ", ".join(STDLIB_NAMED))
+    added = _modules_loaded_by("import implicitseries.cli") - baseline
+    assert "implicitseries.cli" in added
+    assert sorted(m for m in added if m.partition(".")[0] != "implicitseries") == []
