@@ -39,14 +39,16 @@ PUBLISHED_CENSUS_15 = 91159
 # order fails at once instead of running for hours.  Measured on a
 # shared 2-vCPU Xeon host under Python 3.11, the whole CLI run with
 # --method all: on the dense log(1+x+y)*exp(x*y)+y table 2.4 s at N=60
-# and 10 s at N=80, nearly all of it the inverse-relation series of
+# and 9.7 s at N=80, nearly all of it the inverse-relation series of
 # direct, growing about 2x per 10 orders (22 s for them at N=90); on the
-# Lambert table 0.5 s at N=60 and 0.8 s at N=80.  Growing denominators
-# cost more: (3+x-y)^-3-1/27+y at N=80 takes 0.12 s to build (14 s when
+# Lambert table 0.3 s at N=60 and 0.5 s at N=80.  Growing denominators
+# cost more: (3+x-y)^-3-1/27+y at N=80 takes 0.07 s to build (14 s when
 # the power squared a reciprocal box) and 12-22 s for compose.  Rational
-# newton at N=150 takes about 4 s and 28 MB on the dense table, and 9-11 s
-# and 38 MB on log(1+x/3+7*y/5)*exp(x*y/2)+y/11, whose f(0,1) = 82/55
-# makes it solve f(82^2 x, 82 y) = 0 over Fractions.
+# newton at N=150 takes about 2.0 s and 22 MB on the dense table, and
+# 7-11 s and 28 MB on log(1+x/3+7*y/5)*exp(x*y/2)+y/11, whose f(0,1) =
+# 82/55 makes it solve f(82^2 x, 82 y) = 0 over Fractions.  Its table,
+# built over the triangle m + n <= N, takes 0.6 s of that; over the
+# square it took 2.0-2.6 s, and the run 9.6 s and 37 MB.
 # Symbolic output has about 1.85x more monomials per order: at N=15
 # newton takes 21 s and 0.4 GB, and direct at N=18 already 30 s, 2.4 GB
 # and a 1 GB JSON document.  --method all takes the least ceiling of the

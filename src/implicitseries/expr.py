@@ -373,7 +373,9 @@ def table_from_expr(src, order) -> CoeffTable:
     unevaluable expressions, and NotExpandableError when the table fails
     the expandability conditions.  Those read only f(0, 0) and f(0, 1),
     which no order changes, so they are checked on the tree evaluated at
-    order 1, before the box of the requested order is built.
+    order 1, before the series of the requested order is built.  The
+    table holds the entries with m + n <= order, all an expansion to that
+    order reads.
     """
     node = parse(src) if isinstance(src, str) else src
 

@@ -8,7 +8,7 @@ y_1, y_2, ... of the unique formal solution are computed three ways:
                f(m, 0) column with the Taylor coefficients of the
                y-to-x inverse relation,
 * compose   -- G(x, -f(x, 0)) by BivariateEGF.substitute_y, column k
-               of the box G being the inverse-relation series g_k,
+               of the series G being the inverse-relation series g_k,
 * newton    -- order-by-order elimination of the residual f(x, y(x)),
                which touches none of the combinatorial machinery.
 
@@ -65,7 +65,10 @@ class InvariantError(RuntimeError):
 class CoeffTable:
     """Taylor coefficients of the implicit equation on a square index box.
 
-    Entries live at 0 <= m, n <= order; absent means zero.  The mode is
+    Entries live at 0 <= m, n <= order; absent means zero.  An expansion
+    to order N reads only the entries with m + n <= N (see BivariateEGF),
+    so the tables built here hold no more; a square table, such as an
+    --input file, keeps its entries past that triangle unread.  The mode is
     'rational' (exact scalar entries: int when integral, else Fraction) or
     'symbolic' (Laurent polynomial entries).  Instances are immutable;
     derived series, powers and Bell values are memoized on the table.
@@ -102,11 +105,12 @@ class CoeffTable:
 
     @classmethod
     def symbolic(cls, order):
-        """The generic equation: every entry its own symbol F(m, n)."""
+        """The generic equation: every entry with m + n <= order its own
+        symbol F(m, n), (order + 1)(order + 2) / 2 - 1 symbols in all."""
         entries = {
             (m, n): fsym(m, n)
             for m in range(order + 1)
-            for n in range(order + 1)
+            for n in range(order + 1 - m)
             if (m, n) != (0, 0)
         }
         return cls(order, entries, "symbolic")
@@ -176,13 +180,14 @@ def column_series(table, n, order=None):
 
 
 def as_bivariate(table, order=None):
-    """The table as a truncated two-variable series."""
+    """The table as a two-variable series truncated in total degree: the
+    entries with m + n <= order."""
     if order is None:
         order = table.order
     if order > table.order:
         raise TableError("requested order exceeds the table")
     return BivariateEGF(
-        [[table.entry(m, n) for n in range(order + 1)] for m in range(order + 1)]
+        [[table.entry(m, n) for n in range(order + 1 - m)] for m in range(order + 1)]
     )
 
 
@@ -215,7 +220,9 @@ def inverse_taylor_coeff(table, k, l):
 
     Read off g_k of _inverse_coeff_series, which direct and compose share,
     when l <= N - k, N the table order; otherwise off g_k built alone
-    through x^l, with powers of its own, and kept nowhere.
+    through x^l, with powers of its own, and kept nowhere.  Past l = N - k
+    it reads entries with m + n > N, which `CoeffTable.symbolic` and
+    `table_from_expr` leave zero.
     """
     if k < 1:
         raise TableError("k must be at least 1")
@@ -430,8 +437,8 @@ def _inverse_coeff_series(table, k):
 
 def expand_compose(table, order=None):
     """Expansion as G(x, -f(x, 0)) by BivariateEGF.substitute_y, the
-    substitution newton's final check makes, column k of the box G being
-    the inverse-relation series g_k:
+    substitution newton's final check makes, column k of the series G
+    being the inverse-relation series g_k:
 
         y(x) = sum_{k>=1} g_k(x) (-f(x,0))^k / k!
 
@@ -444,12 +451,12 @@ def expand_compose(table, order=None):
     t0 = time.perf_counter()
     phi0 = column_series(table, 0, order)
     v = next((m for m, c in enumerate(phi0.coeffs) if c), 0)
-    box = [[_ZERO] * (order + 1) for _ in range(order + 1)]
+    rows = [[_ZERO] * (order + 1 - m) for m in range(order + 1)]
     for k in range(1, order // v + 1 if v else 1):
         g = _inverse_coeff_series(table, k).coeffs
         for m in range(order - k + 1):
-            box[m][k] = g[m]
-    total = BivariateEGF(box).substitute_y(-phi0)
+            rows[m][k] = g[m]
+    total = BivariateEGF(rows).substitute_y(-phi0)
     if total.coeffs[0]:
         raise InvariantError("composition produced a nonzero constant term")
     ys = [_in_mode(table, ym) for ym in total.coeffs[1:]]
@@ -482,22 +489,22 @@ def expand_newton(table, order=None):
     for.  Each product is made once, about N^3/3 of them in all.
 
     The solve runs on f(p^2 x, p y) = 0, p the numerator of f(0,1) in
-    rational mode and 1 in symbolic mode.  Its box is f(k, n) p^(2k+n),
-    built only for k + n <= N, the entries the solve and the check read;
+    rational mode and 1 in symbolic mode.  Its series is f(k, n) p^(2k+n)
+    over the triangle k + n <= N, the entries the solve and the check read;
     its f(0,1) is p^2 / q, q the denominator of f(0,1); and its solution
     has coefficients u_m = y_m p^(2m-1).  So u_m = -s q / p^2, s the sum
-    above over the scaled box, and y_m = u_m / p^(2m-1).  By Sokal's
+    above over the scaled series, and y_m = u_m / p^(2m-1).  By Sokal's
     form of the expansion (A. D. Sokal, "A ridiculously simple and
     explicit implicit function theorem", Sem. Lothar. Combin. 61A, 2009),
     y_m is f(0,1)^-(2m-1) times a polynomial in the f(k, n) with integer
     coefficients, so u_m is such a polynomial times q^(2m-1), with no
     factor p in its denominator: on an integral table every product of
     the solve is an int product, with no Fraction and no gcd.  At p = 1
-    the box is the table's and u_m = y_m.
+    the series is the table's and u_m = y_m.
 
     Ends by checking that the final residual, substituted afresh,
     vanishes through the order: the returned y_m, each times p^(2m-1),
-    are substituted into the scaled box.  Coefficient m of that series is
+    are substituted into the scaled series.  Coefficient m of that one is
     p^(2m) times coefficient m of f(x, y(x)), so it is zero exactly when
     the unscaled residual is, and the check is as strict as on the table
     itself.
@@ -509,9 +516,9 @@ def expand_newton(table, order=None):
         f = as_bivariate(table, order)
     else:
         scale = [p ** e for e in range(2 * order + 1)]
-        f = BivariateEGF([[table.entry(k, n) * scale[2 * k + n] if k + n <= order else _ZERO
-                           for n in range(order + 1)] for k in range(order + 1)])
-    box = f.coeffs
+        f = BivariateEGF([[table.entry(k, n) * scale[2 * k + n] for n in range(order + 1 - k)]
+                          for k in range(order + 1)])
+    rows = f.coeffs
     inv = invert_scalar(f01 * p)  # q / p^2, one over the scaled f(0,1)
     # pw[n][j]: coefficient j of u^n/n!, zero below j = n; pw[1] is u
     pw = [[1] + [_ZERO] * order] + [[_ZERO] * n for n in range(1, order + 1)]
@@ -525,8 +532,8 @@ def expand_newton(table, order=None):
                               for i in range(1, m - n + 2) if u[i] and prev[m - i]]))
         u.append(_ZERO)  # u_m is unknown yet, so f(0,1) u_m drops out
         # a generator, so that no list of about m^2/2 triples is held
-        s = dot((comb(m, k), box[k][n], pw[n][m - k]) for k in range(m + 1)
-                for n in range(m - k + 1) if box[k][n] and pw[n][m - k])
+        s = dot((comb(m, k), rows[k][n], pw[n][m - k]) for k in range(m + 1)
+                for n in range(m - k + 1) if rows[k][n] and pw[n][m - k])
         u[m] = as_coefficient(-(s * inv))
         ym = u[m] if p == 1 else div_int(u[m], scale[2 * m - 1])
         ys.append(ym)

@@ -1,8 +1,9 @@
 """Truncated power series with factorial-normalized coefficients.
 
 A series of order N stores c_0..c_N and denotes sum c_n x^n / n!; the
-bivariate kind stores a full (N+1) x (N+1) box of c_{m,n} for
-sum c_{m,n} x^m y^n / (m! n!).  Coefficients are exact scalars (an int
+bivariate kind stores the triangle of c_{m,n}, m + n <= N, for
+sum c_{m,n} x^m y^n / (m! n!), truncated in total degree: row m holds
+c_{m,0}..c_{m,N-m}.  Coefficients are exact scalars (an int
 when integral, otherwise a Fraction) or Laurent polynomials, brought into
 that canonical form as a series is built; all arithmetic is exact.  A
 division by k! is taken one factor k at a time, so that integral
@@ -164,22 +165,29 @@ def _exp_rows(f, g0):
     g0 = exp F_0, by G' = F' G: G_{m+1} = sum_i C(m, i) F_{i+1} G_{m-i}.
 
     A row is a scalar (a one-variable series) or a series in y (a
-    bivariate one); ' is the derivative in x.  Each row is one
-    `_add_products` pass, and a zero F_(i+1) makes no product.
+    bivariate one, row m of order N - m); ' is the derivative in x.  Each
+    row is one `_add_products` pass, at the order of F_(m+1), and a zero
+    F_(i+1) makes no product.
     """
     g = [g0]
-    zero = g0 * 0  # of the rows' kind
     for m, cm in enumerate(_pascal(len(f) - 2)):
-        g.append(_add_products(zero, [(cm[i], f[i + 1], g[m - i]) for i in range(m + 1)
-                                      if f[i + 1] and g[m - i]]))
+        g.append(_add_products(_zero_like(f[m + 1]), [
+            (cm[i], f[i + 1], g[m - i]) for i in range(m + 1) if f[i + 1] and g[m - i]]))
     return g
+
+
+def _zero_like(row):
+    """The zero of row's kind: a series in y of row's order, or 0."""
+    return TaylorEGF._raw((_ZERO,) * len(row.coeffs)) if isinstance(row, TaylorEGF) else _ZERO
 
 
 def _quotient_rows(f, r, divide):
     """The rows Q_0..Q_M of Q = R / F from the rows of F and R, by F Q = R:
     Q_m = (R_m - sum_{i>=1} C(m, i) F_i Q_{m-i}) / F_0.  Rows are as in
-    `_exp_rows`; divide(S) is S / F_0, the product by the scalar 1 / F_0
-    for scalar rows and `_divider`'s triangular solve for rows in y."""
+    `_exp_rows`, Q_m at the order of R_m; divide(S) is S / F_0, the
+    product by the scalar 1 / F_0 for scalar rows and `_divider`'s
+    triangular solve for rows in y, whose one divider of F_0's order
+    serves every shorter row."""
     q = []
     for m in range(len(r)):
         # the sign rides on the int, so no polynomial is negated
@@ -199,10 +207,9 @@ def _power_rows(f, k, g0, divide):
     row products where repeated squaring makes a dense product per step.
     """
     g = [g0]
-    zero = g0 * 0  # of the rows' kind
     for m in range(len(f) - 1):
         cm = _binomials(m) + (0,)
-        g.append(divide(_add_products(zero, [
+        g.append(divide(_add_products(_zero_like(f[m + 1]), [
             (w, f[j], g[m + 1 - j]) for j in range(1, m + 2)
             if (w := k * cm[j - 1] - cm[j]) and f[j] and g[m + 1 - j]])))
     return g
@@ -215,10 +222,11 @@ def _times(x, d):
 
 
 def _divider(f0):
-    """The function S -> S / F_0 on one-variable series of F_0's order, by
-    the triangular solve of F_0 Q = S over the nonzero coefficients of F_0
-    (Knuth, TAOCP Vol. 2, 4.7; Brent and Kung, "Fast algorithms for
-    manipulating formal power series", J. ACM 25, 1978), on ints.
+    """The function S -> S / F_0 on one-variable series of F_0's order or
+    less, by the triangular solve of F_0 Q = S over the nonzero
+    coefficients of F_0 (Knuth, TAOCP Vol. 2, 4.7; Brent and Kung, "Fast
+    algorithms for manipulating formal power series", J. ACM 25, 1978), on
+    ints.
 
     With c = 1 / F_0[0], h_i = c F_0[i] and S = S' / e over the common
     denominator of S, W = S' / F_0 is W_n = c S'_n - sum_{i>=1} C(n, i) h_i
@@ -441,42 +449,61 @@ class TaylorEGF:
 
 
 class BivariateEGF:
-    """Two-variable truncated series over a square coefficient box."""
+    """Two-variable truncated series over the triangle m + n <= order.
+
+    Row m holds the coefficients of x^m y^0..y^(order - m), so the rows
+    are series in y of orders order, order - 1, ..., 0.  Truncating in
+    total degree loses nothing the expansion reads: a monomial
+    prod f_{m,n}^(r_mn) of y_N has sum m r = N and sum n r = k - 1 with
+    k = sum r (Sokal's form of the series), so sum (m + n) r = N + k - 1
+    and every slot in it has m + n <= N."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         rows = [tuple(as_coefficient(c) for c in row) for row in coeffs]
         n = len(rows)
-        if n == 0 or any(len(row) != n for row in rows):
-            raise ValueError("coefficient box must be square and nonempty")
+        if n == 0 or any(len(row) != n - m for m, row in enumerate(rows)):
+            raise ValueError("coefficient rows must form a nonempty triangle, "
+                             "row m of the order-N series holding N - m + 1 entries")
         self.coeffs = tuple(rows)
 
     @classmethod
+    def _raw(cls, rows):
+        # Trusted constructor: the rows must form a triangle of canonical
+        # coefficients already.
+        s = cls.__new__(cls)
+        s.coeffs = tuple(map(tuple, rows))
+        return s
+
+    @classmethod
+    def _triangle(cls, order, entries):
+        """The series of the given order whose nonzero coefficients are
+        entries, a dict {(m, n): canonical value}."""
+        rows = [[_ZERO] * (order + 1 - m) for m in range(order + 1)]
+        for (m, n), c in entries.items():
+            rows[m][n] = c
+        return cls._raw(rows)
+
+    @classmethod
     def zero(cls, order):
-        return cls([[_ZERO] * (order + 1) for _ in range(order + 1)])
+        return cls._triangle(order, {})
 
     @classmethod
     def const(cls, value, order):
-        box = [[_ZERO] * (order + 1) for _ in range(order + 1)]
-        box[0][0] = as_coefficient(value)
-        return cls(box)
+        return cls._triangle(order, {(0, 0): as_coefficient(value)})
 
     @classmethod
     def var_x(cls, order):
         if order < 1:
             raise ValueError("var_x needs order >= 1")
-        box = [[_ZERO] * (order + 1) for _ in range(order + 1)]
-        box[1][0] = _ONE
-        return cls(box)
+        return cls._triangle(order, {(1, 0): _ONE})
 
     @classmethod
     def var_y(cls, order):
         if order < 1:
             raise ValueError("var_y needs order >= 1")
-        box = [[_ZERO] * (order + 1) for _ in range(order + 1)]
-        box[0][1] = _ONE
-        return cls(box)
+        return cls._triangle(order, {(0, 1): _ONE})
 
     @property
     def order(self):
@@ -528,18 +555,20 @@ class BivariateEGF:
             da, a = _over_one_denominator(self.coeffs)
             db, b = _over_one_denominator(other.coeffs)
             # exact and commutative: the kernel's outer operand is walked by
-            # its nonzero entries, so give it the box with fewer of them
+            # its nonzero entries, so give it the triangle with fewer of them
             if sum(map(bool, chain.from_iterable(b))) < sum(map(bool, chain.from_iterable(a))):
                 a, b = b, a
             a = [[(n, c) for n, c in enumerate(row) if c] for row in a]
-            # output row m is sum_{m1} C(m, m1) a_m1(y) b_(m-m1)(y), in ints
-            # over the product of the two common denominators
-            out = [_convolve([(cm[m1], a[m1], b[m - m1]) for m1 in range(m + 1) if a[m1]], N)
+            # output row m is sum_{m1} C(m, m1) a_m1(y) b_(m-m1)(y) through
+            # y^(N-m), in ints over the product of the two common
+            # denominators; the kernel reads the longer rows b_(m-m1) only
+            # that far
+            out = [_convolve([(cm[m1], a[m1], b[m - m1]) for m1 in range(m + 1) if a[m1]], N - m)
                    for m, cm in enumerate(_pascal(N))]
             d = da * db
             if d > 1:
                 out = [[div_int(c, d) for c in row] for row in out]
-            return BivariateEGF(out)
+            return BivariateEGF._raw(out)
         if isinstance(other, (int, Fraction, LaurentPoly)):
             return BivariateEGF([[c * other if c else c for c in row] for row in self.coeffs])
         return NotImplemented
@@ -547,16 +576,16 @@ class BivariateEGF:
     __rmul__ = __mul__
 
     # exp, log, quotients and integer powers run `_exp_rows`,
-    # `_quotient_rows` and `_power_rows` over the rows F_m(y) of the box,
-    # one series in y each: exp by G' = F'G, log by G' = F'/F, a quotient
-    # by FQ = R and a power by FG' = kF'G, ' being d/dx.  All but exp
-    # divide each row by F_0 through `_divider`, so a sparse F_0 such as
-    # 1 + y costs a sparse solve.  Row 0 is the one-variable operation on
+    # `_quotient_rows` and `_power_rows` over the rows F_m(y) of the
+    # triangle, one series in y of order N - m each: exp by G' = F'G, log
+    # by G' = F'/F, a quotient by FQ = R and a power by FG' = kF'G, ' being
+    # d/dx.  All but exp divide each row by F_0 through `_divider`, so a
+    # sparse F_0 such as 1 + y costs a sparse solve.  Row 0 is the one-variable operation on
     # F_0(y); its domain check on F(0, 0) runs before any recurrence and
     # raises the bivariate operation's error.
 
     def _rows(self):
-        return [TaylorEGF(row) for row in self.coeffs]
+        return [TaylorEGF._raw(row) for row in self.coeffs]
 
     def __truediv__(self, other):
         """The series divided by a nonzero int, exactly (see div_int), or
@@ -568,16 +597,17 @@ class BivariateEGF:
             return NotImplemented
         self._check(other)
         f = other._rows()
-        return BivariateEGF([q.coeffs for q in _quotient_rows(f, self._rows(), _divider(f[0]))])
+        return BivariateEGF._raw([q.coeffs for q in _quotient_rows(f, self._rows(),
+                                                                   _divider(f[0]))])
 
     def pow_int(self, exponent):
-        """Integer power.  Exponents 1 and 2 square (no box product or one:
+        """Integer power.  Exponents 1 and 2 square (no product or one:
         for 2 the recurrence's larger operands lose 10-40% on both sparse
         and dense bases), as does a positive exponent whose constant term
         has no inverse, F_0 then having none to divide by.  Every other
-        exponent k runs `_power_rows` from G_0 = F_0(y)^k and makes no box
-        product.  A negative exponent with a constant term that is not a
-        unit raises NotInvertibleError."""
+        exponent k runs `_power_rows` from G_0 = F_0(y)^k and makes no
+        bivariate product.  A negative exponent with a constant term that is
+        not a unit raises NotInvertibleError."""
         if not exponent:
             return BivariateEGF.const(1, self.order)
         if exponent in (1, 2):
@@ -589,8 +619,8 @@ class BivariateEGF:
             if exponent > 0:
                 return power(self, exponent)
             raise
-        return BivariateEGF([g.coeffs for g in
-                             _power_rows(f, exponent, f[0].pow_int(exponent), divide)])
+        return BivariateEGF._raw([g.coeffs for g in
+                                  _power_rows(f, exponent, f[0].pow_int(exponent), divide)])
 
     def reciprocal(self):
         """Multiplicative inverse; the constant term must be a unit."""
@@ -599,14 +629,14 @@ class BivariateEGF:
     def exp(self):
         """Exponential; needs a zero constant term."""
         f = self._rows()
-        return BivariateEGF([g.coeffs for g in _exp_rows(f, f[0].exp())])
+        return BivariateEGF._raw([g.coeffs for g in _exp_rows(f, f[0].exp())])
 
     def log(self):
         """Logarithm; needs constant term exactly 1."""
         f = self._rows()
         g0 = f[0].log()
         d = _quotient_rows(f, f[1:], _divider(f[0]))
-        return BivariateEGF([g.coeffs for g in [g0, *d]])
+        return BivariateEGF._raw([g.coeffs for g in [g0, *d]])
 
     def substitute_y(self, u, order=None):
         """The one-variable series f(x, u(x)) = sum_n F^(n)(x) u^n / n!,
@@ -614,11 +644,11 @@ class BivariateEGF:
 
         Exact through the output order because u has positive valuation, so
         u^n / n! starts at x^n; it follows that column n reaches the output
-        only through x^(order - n), and only that triangle of the box is
-        read.  The powers u^n / n! are built by the series product.  Over
-        numbers each column's product is one `_int_dot` folded into an int
-        sum over the lcm of the denominators so far, so one power is held
-        at a time; over polynomials the whole sum is one `_series_dot` of
+        only through x^(order - n), and only the triangle m + n <= order of
+        the stored one is read.  The powers u^n / n! are built by the
+        series product.  Over numbers each column's product is one
+        `_int_dot` folded into an int sum over the lcm of the denominators
+        so far, so one power is held at a time; over polynomials the whole sum is one `_series_dot` of
         the pairs (u^n / n!, column n), one `dot` per output coefficient.
         """
         if order is None:
@@ -628,7 +658,7 @@ class BivariateEGF:
         if u.coeffs[0]:
             raise ConstantTermError("substitution needs a zero constant term")
         u = u.truncate(order)
-        cols = [[self.coeffs[m][n] for m in range(order + 1 - n)] for n in range(order + 1)]
+        cols = [[row[n] for row in self.coeffs[:order + 1 - n]] for n in range(order + 1)]
         if _starts_polynomial(u.coeffs) or any(map(_starts_polynomial, cols)):
             return TaylorEGF._raw(_series_dot(
                 [_sparser_first(1, p, col) for p, col in zip(_divided_powers(u, order), cols)],

@@ -213,8 +213,9 @@ def test_the_oracle_knows_its_series():
 @settings(max_examples=300, deadline=None)
 @given(_TREES, st.integers(1, 6))
 def test_eval_series_matches_the_ordinary_series_oracle(tree, order):
-    # coefficient (m, n) of the box is m! n! times the ordinary coefficient;
-    # a tree is skipped only when both evaluators reject it
+    # coefficient (m, n) of the triangle m + n <= order is m! n! times the
+    # ordinary coefficient; a tree is skipped only when both evaluators
+    # reject it
     text = _text(tree)
     try:
         want = _oracle(tree, order)
@@ -227,6 +228,7 @@ def test_eval_series_matches_the_ordinary_series_oracle(tree, order):
     assert (want is None) == (got is None), text
     if want is None:
         return
+    assert [len(row) for row in got.coeffs] == list(range(order + 1, 0, -1))
     for m, row in enumerate(got.coeffs):
         for n, c in enumerate(row):
             assert c == factorial(m) * factorial(n) * want[m][n], (text, m, n)

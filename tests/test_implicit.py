@@ -102,10 +102,16 @@ def test_table_entry_access_and_errors():
 
 
 def test_symbolic_table_shape():
+    # one symbol per slot of the triangle m + n <= 3 but (0, 0), which is
+    # all an expansion to order 3 reads; the rest of the square is zero
     t = CoeffTable.symbolic(3)
     assert t.mode == "symbolic"
     assert t.entry(0, 0) == 0
-    assert t.entry(2, 3) == fsym(2, 3)
+    assert t.entry(1, 2) == fsym(1, 2)
+    assert t.entry(2, 3) == 0
+    assert t.entries() == {(m, n): fsym(m, n) for m in range(4) for n in range(4 - m)
+                           if (m, n) != (0, 0)}
+    assert len(CoeffTable.symbolic(15).entries()) == 135
     assert validate_table(t) == []
 
 
@@ -126,7 +132,7 @@ def test_column_series_and_bivariate_view():
     col1 = column_series(t, 1, order=2)
     assert list(col1.coeffs) == [1, 0, 0]
     f = as_bivariate(t, 2)
-    assert f.coeffs[1][0] == -1 and f.coeffs[0][2] == 2
+    assert f.coeffs == ((0, 1, 2), (-1, 0), (0,))
     with pytest.raises(TableError):
         column_series(t, 4)
 
@@ -869,6 +875,48 @@ def _assert_methods_agree(table, order):
 @given(_rational_tables_and_orders(max_size=6))
 def test_methods_agree_on_random_rational_tables(case):
     _assert_methods_agree(*case)
+
+
+# -- only the triangle m + n <= N reaches y_1..y_N ----------------------------
+
+
+@st.composite
+def _tables_past_the_triangle(draw):
+    """(T, Z) for a random rational table of order N <= 8: in T every entry
+    with m + n > N is a random nonzero rational, in Z it is zero, and the
+    entries with m + n <= N are the same in both."""
+    size = draw(st.integers(1, 8))
+    inside = {(m, n): draw(_sparse_rationals)
+              for m in range(size + 1) for n in range(size + 1 - m) if (m, n) != (0, 0)}
+    inside[(0, 1)] = draw(_small_rationals.filter(bool))
+    outside = {(m, n): draw(_small_rationals.filter(bool))
+               for m in range(size + 1) for n in range(size + 1 - m, size + 1)}
+    return (CoeffTable(size, inside | outside, "rational"),
+            CoeffTable(size, inside, "rational"))
+
+
+def _assert_the_triangle_decides(full, triangle):
+    # Sokal's form of the series: a monomial prod f(m, n)^r of y_N has
+    # sum m r = N and sum n r = k - 1, k = sum r, so sum (m + n) r =
+    # N + k - 1 and each of its slots has m + n <= N
+    for method in ("direct", "compose", "newton"):
+        _assert_same_canonical(expand(full, full.order, method).y,
+                               expand(triangle, triangle.order, method).y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tables_past_the_triangle())
+def test_entries_past_the_triangle_change_no_coefficient(case):
+    _assert_the_triangle_decides(*case)
+
+
+def test_the_symbolic_triangle_expands_as_the_square_symbolic_table():
+    order = 6
+    square = CoeffTable(order, {(m, n): fsym(m, n) for m in range(order + 1)
+                                for n in range(order + 1) if (m, n) != (0, 0)}, "symbolic")
+    triangle = CoeffTable.symbolic(order)
+    assert len(triangle.entries()) == (order + 1) * (order + 2) // 2 - 1
+    _assert_the_triangle_decides(square, triangle)
 
 
 _leaves = st.one_of(st.just("x"), st.just("y"), _small_rationals.map(lambda c: f"({c})"))
