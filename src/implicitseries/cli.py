@@ -44,9 +44,11 @@ PUBLISHED_CENSUS_15 = 91159
 # Lambert table 0.3 s at N=60 and 0.5 s at N=80.  Growing denominators
 # cost more: (3+x-y)^-3-1/27+y at N=80 takes 0.07 s to build (14 s when
 # the power squared a reciprocal box) and 12-22 s for compose.  Rational
-# newton at N=150 takes about 2.0 s and 22 MB on the dense table, and
-# 7-11 s and 28 MB on log(1+x/3+7*y/5)*exp(x*y/2)+y/11, whose f(0,1) =
-# 82/55 makes it solve f(82^2 x, 82 y) = 0 over Fractions.  Its table,
+# newton at N=150 takes about 1.5 s and 21 MB on the dense table, whose
+# integral entries let it solve f(4x, 2y) = 0 with plain int sums (2.3 s
+# when each product went through dot), and 6.6-7.2 s and 27 MB on
+# log(1+x/3+7*y/5)*exp(x*y/2)+y/11, whose f(0,1) = 82/55 makes it solve
+# f(82^2 x, 82 y) = 0 over Fractions.  Its table,
 # built over the triangle m + n <= N, takes 0.6 s of that; over the
 # square it took 2.0-2.6 s, and the run 9.6 s and 37 MB.
 # Symbolic output has about 1.85x more monomials per order: at N=15

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import time
 from math import comb, gcd, lcm
+from operator import mul
 
 from .algebra import (
     LaurentPoly,
@@ -45,7 +46,8 @@ from .combinatorics import (
     bell_eval,
     inverse_partition_terms,
 )
-from .series import BivariateEGF, TaylorEGF, _convolve, _over_one_denominator, _series_dot
+from .series import (BivariateEGF, TaylorEGF, _convolve, _over_one_denominator, _pascal,
+                     _series_dot)
 
 _ZERO = 0
 
@@ -93,11 +95,22 @@ class CoeffTable:
                 v = LaurentPoly.const(v)
             if v:
                 box[(m, n)] = v
+        self._fill(order, mode, box)
+
+    def _fill(self, order, mode, entries):
         self.order = order
         self.mode = mode
-        self._entries = box
+        self._entries = entries
         # the Bell values of y_coeff_direct and the _inverse_coeff_series memo
         self._cache = {"bell": {}, "inverse": ([], {})}
+
+    @classmethod
+    def _raw(cls, order, entries):
+        # Trusted constructor of a rational table: entries must be a dict of
+        # nonzero canonical scalars, at indices inside the box already.
+        t = cls.__new__(cls)
+        t._fill(order, "rational", entries)
+        return t
 
     @classmethod
     def rational(cls, order, entries):
@@ -502,6 +515,13 @@ def expand_newton(table, order=None):
     the solve is an int product, with no Fraction and no gcd.  At p = 1
     the series is the table's and u_m = y_m.
 
+    Both sums read their binomials off rows of Pascal's triangle and pair
+    aligned slices: u_i C(m-1, i-1) with a row of P reversed, and row k of
+    the series with column m - k of P.  When the scaled series holds only
+    ints, as on every integral table, each is a plain int sum of products;
+    otherwise each is one `dot`, which sums Fractions over one common
+    denominator and polynomials term by term.
+
     Ends by checking that the final residual, substituted afresh,
     vanishes through the order: the returned y_m, each times p^(2m-1),
     are substituted into the scaled series.  Coefficient m of that one is
@@ -520,22 +540,35 @@ def expand_newton(table, order=None):
                           for k in range(order + 1)])
     rows = f.coeffs
     inv = invert_scalar(f01 * p)  # q / p^2, one over the scaled f(0,1)
-    # pw[n][j]: coefficient j of u^n/n!, zero below j = n; pw[1] is u
-    pw = [[1] + [_ZERO] * order] + [[_ZERO] * n for n in range(1, order + 1)]
+    # total(groups): the sum of w * (a . b) over the groups (w, a, b), a and
+    # b aligned sequences, zip stopping at the shorter
+    if all(type(c) is int for row in rows for c in row):
+        def total(groups):
+            return sum(w * sum(map(mul, a, b)) for w, a, b in groups)
+    else:
+        # dot sums Fractions over one common denominator and polynomials
+        # term by term, which plain products cannot
+        def total(groups):
+            return dot((w, x, y) for w, a, b in groups for x, y in zip(a, b) if x and y)
+    pascal = _pascal(order)
+    # pw[n][j] for n >= 1 and cols[j][n]: P(n, j), zero below j = n; pw[1] is u
+    pw = [[_ZERO] * n for n in range(order + 1)]
+    cols = [[1]]
     u = pw[1]
     ys, diags = [], []
     for m in range(1, order + 1):
         t0 = time.perf_counter()
+        cu = list(map(mul, pascal[m - 1], u[1:]))  # C(m-1, i-1) u_i, i = 1..m-1
+        col = [_ZERO, _ZERO]  # u_m is unknown yet, so f(0,1) u_m drops out
         for n in range(2, m + 1):
-            prev = pw[n - 1]
-            pw[n].append(dot([(comb(m - 1, i - 1), u[i], prev[m - i])
-                              for i in range(1, m - n + 2) if u[i] and prev[m - i]]))
-        u.append(_ZERO)  # u_m is unknown yet, so f(0,1) u_m drops out
-        # a generator, so that no list of about m^2/2 triples is held
-        s = dot((comb(m, k), rows[k][n], pw[n][m - k]) for k in range(m + 1)
-                for n in range(m - k + 1) if rows[k][n] and pw[n][m - k])
-        u[m] = as_coefficient(-(s * inv))
-        ym = u[m] if p == 1 else div_int(u[m], scale[2 * m - 1])
+            # cu against P(n-1, m-1), P(n-1, m-2), ..., P(n-1, n-1)
+            col.append(total(((1, cu, pw[n - 1][m - 1:n - 2:-1]),)))
+            pw[n].append(col[n])
+        cols.append(col)
+        # C(m, k) times row k of f against column m - k of P, over k
+        um = col[1] = as_coefficient(-(total(zip(pascal[m], rows, reversed(cols))) * inv))
+        u.append(um)
+        ym = um if p == 1 else div_int(um, scale[2 * m - 1])
         ys.append(ym)
         diags.append(_diag(ym, t0))
     check = ys if p == 1 else [y * scale[2 * m - 1] for m, y in enumerate(ys, 1)]

@@ -167,12 +167,15 @@ def _exp_rows(f, g0):
     A row is a scalar (a one-variable series) or a series in y (a
     bivariate one, row m of order N - m); ' is the derivative in x.  Each
     row is one `_add_products` pass, at the order of F_(m+1), and a zero
-    F_(i+1) makes no product.
+    F_(i+1) or G_(m-i) makes no product.  Each row is tested for zero
+    once, as it is made, as the test of a series in y reads every
+    coefficient; so are the rows of `_quotient_rows` and `_power_rows`.
     """
-    g = [g0]
+    g, live_f, live_g = [g0], list(map(bool, f)), [bool(g0)]
     for m, cm in enumerate(_pascal(len(f) - 2)):
         g.append(_add_products(_zero_like(f[m + 1]), [
-            (cm[i], f[i + 1], g[m - i]) for i in range(m + 1) if f[i + 1] and g[m - i]]))
+            (cm[i], f[i + 1], g[m - i]) for i in range(m + 1) if live_f[i + 1] and live_g[m - i]]))
+        live_g.append(bool(g[-1]))
     return g
 
 
@@ -188,11 +191,12 @@ def _quotient_rows(f, r, divide):
     product by the scalar 1 / F_0 for scalar rows and `_divider`'s
     triangular solve for rows in y, whose one divider of F_0's order
     serves every shorter row."""
-    q = []
+    q, live_f, live_q = [], list(map(bool, f)), []
     for m in range(len(r)):
         # the sign rides on the int, so no polynomial is negated
-        q.append(divide(_add_products(r[m], [(-comb(m, i), f[i], q[m - i])
-                                             for i in range(1, m + 1) if f[i] and q[m - i]])))
+        q.append(divide(_add_products(r[m], [(-comb(m, i), f[i], q[m - i]) for i in range(1, m + 1)
+                                             if live_f[i] and live_q[m - i]])))
+        live_q.append(bool(q[-1]))
     return q
 
 
@@ -206,12 +210,13 @@ def _power_rows(f, k, g0, divide):
     A zero F_j is skipped, so a base with r nonzero rows costs about r N
     row products where repeated squaring makes a dense product per step.
     """
-    g = [g0]
+    g, live_f, live_g = [g0], list(map(bool, f)), [bool(g0)]
     for m in range(len(f) - 1):
         cm = _binomials(m) + (0,)
         g.append(divide(_add_products(_zero_like(f[m + 1]), [
             (w, f[j], g[m + 1 - j]) for j in range(1, m + 2)
-            if (w := k * cm[j - 1] - cm[j]) and f[j] and g[m + 1 - j]])))
+            if (w := k * cm[j - 1] - cm[j]) and live_f[j] and live_g[m + 1 - j]])))
+        live_g.append(bool(g[-1]))
     return g
 
 

@@ -29,7 +29,7 @@ from implicitseries.expr import (
     to_text,
     tokenize,
 )
-from implicitseries.implicit import NotExpandableError, expand
+from implicitseries.implicit import CoeffTable, NotExpandableError, expand
 from implicitseries.series import BivariateEGF, ConstantTermError
 
 
@@ -442,6 +442,19 @@ def test_lambert_equation_table():
 def test_geometric_equation_table():
     t = table_from_expr("y - x - x*y", 4)
     assert t.entries() == {(0, 1): 1, (1, 0): -1, (1, 1): -1}
+
+
+@pytest.mark.parametrize("text", ["log(1+x/3+7*y/5)*exp(x*y/2)+y/11", "(3+x-y)^-3-1/27+y",
+                                  "y*exp(y) - x", "y - x*y^2/(1-x)"])
+def test_the_trusted_table_is_what_the_validating_constructor_builds(text):
+    # table_from_expr skips CoeffTable's checks: its entries must already be
+    # nonzero, canonical and inside the triangle m + n <= N
+    t = table_from_expr(text, 7)
+    checked = CoeffTable(7, t.entries(), "rational")
+    assert t.entries() == checked.entries()
+    assert {k: type(v) for k, v in t.entries().items()} == {
+        k: type(v) for k, v in checked.entries().items()}
+    assert all(m + n <= 7 for m, n in t.entries())
 
 
 def test_division_and_log_expressions():

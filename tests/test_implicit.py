@@ -984,25 +984,8 @@ _DENSE_INTEGRAL = "log(1+x+y)*exp(x*y)+y"  # f(0,1) = 2
 _DENSE_82_55 = "log(1+x/3+7*y/5)*exp(x*y/2)+y/11"  # f(0,1) = 82/55
 
 
-@pytest.mark.parametrize("text", [_DENSE_INTEGRAL, _DENSE_82_55])
-def test_newton_s_check_catches_one_wrong_solved_coefficient(monkeypatch, text):
-    # the residual sum s of order m gives y_m = -s / (f(0,1) p^(2m)), p the
-    # numerator of f(0,1); moving s by -f(0,1) p^6 at m = 3 makes y_3 one
-    # larger, and every later y_m is solved against that wrong y_3
-    t = table_from_expr(text, 8)
-    want = expand_direct(t).y
-    f01 = Fraction(t.entry(0, 1))
-    residuals = []
-    dot = implicit.dot
-
-    def corrupting(triples):
-        s = dot(triples)
-        if not isinstance(triples, list):  # the residual; the powers pass lists
-            residuals.append(s)
-            if len(residuals) == 3:
-                return s - f01 * f01.numerator ** 6
-        return s
-
+def _recording_substitute_y(monkeypatch):
+    """The series u of every call of BivariateEGF.substitute_y, in a list."""
     substituted = []
     substitute_y = BivariateEGF.substitute_y
 
@@ -1010,14 +993,35 @@ def test_newton_s_check_catches_one_wrong_solved_coefficient(monkeypatch, text):
         substituted.append(u)
         return substitute_y(self, u, order)
 
-    monkeypatch.setattr(implicit, "dot", corrupting)
     monkeypatch.setattr(BivariateEGF, "substitute_y", recording)
+    return substituted
+
+
+@pytest.mark.parametrize("text", [_DENSE_INTEGRAL, _DENSE_82_55])
+def test_newton_s_check_catches_one_wrong_solved_coefficient(monkeypatch, text):
+    # the residual sum s of order m is solved for u_m = -s / (f(0,1) p),
+    # which is y_m p^(2m-1), p the numerator of f(0,1); adding p^5 to the
+    # solved u_3 makes y_3 one larger, and every later y_m is solved
+    # against that wrong y_3
+    t = table_from_expr(text, 8)
+    want = expand_direct(t).y
+    p = Fraction(t.entry(0, 1)).numerator
+    residuals = []
+    as_coefficient = implicit.as_coefficient
+
+    def corrupting(value):
+        residuals.append(value)
+        u = as_coefficient(value)
+        return u + p ** 5 if len(residuals) == 3 else u
+
+    monkeypatch.setattr(implicit, "as_coefficient", corrupting)
+    substituted = _recording_substitute_y(monkeypatch)
     with pytest.raises(InvariantError):
         expand_newton(t)
     assert len(residuals) == 8
     # the check read the wrong y_3, scaled by p^5
     (u,) = substituted
-    assert u[3] == (want[2] + 1) * f01.numerator ** 5
+    assert u[3] == (want[2] + 1) * p ** 5
 
 
 @st.composite
@@ -1039,22 +1043,77 @@ def test_newton_matches_direct_when_f01_has_a_large_numerator(t):
     _assert_same_canonical(expand_newton(t).y, expand_direct(t).y)
 
 
-def test_newton_solves_an_integral_table_in_ints(monkeypatch):
-    # f(0,1) = 2: solved for y_m 2^(2m-1), every sum of the solve is an
-    # int sum, where y_m itself has a power of 2 in its denominator
-    types = set()
+def _recording_dot(monkeypatch):
+    """The triples of every call of dot in the implicit module, in a list."""
+    calls = []
     dot = implicit.dot
 
     def recording(triples):
         triples = list(triples)
-        types.update(type(v) for _, a, b in triples for v in (a, b))
+        calls.append(triples)
         return dot(triples)
 
     monkeypatch.setattr(implicit, "dot", recording)
-    t = table_from_expr(_DENSE_INTEGRAL, 12)
-    y = expand_newton(t).y
-    assert types == {int}
+    return calls
+
+
+def test_newton_solves_an_integral_table_in_ints(monkeypatch):
+    # f(0,1) = 2: the scaled series f(4x, 2y) is integral, so every sum of
+    # the solve is a plain int sum and makes no dot call, and each u_m =
+    # y_m 2^(2m-1) is an int, where y_m itself has a power of 2 in its
+    # denominator
+    calls = _recording_dot(monkeypatch)
+    substituted = _recording_substitute_y(monkeypatch)
+    y = expand_newton(table_from_expr(_DENSE_INTEGRAL, 12)).y
+    assert calls == []
+    (u,) = substituted
+    assert [type(c) for c in u.coeffs[1:]] == [int] * 12
     assert any(type(v) is Fraction for v in y)
+    # f(0,1) = 82/55 leaves Fractions in the scaled series: dot sums them
+    expand_newton(table_from_expr(_DENSE_82_55, 6))
+    assert calls
+
+
+@st.composite
+def _tables_scaled_to_ints(draw):
+    """(T, M, integral) for a rational table T whose f(0,1) is +-p, p in
+    2..40, an order M <= T.order, and whether the scaled series
+    f(k, n) p^(2k+n), k + n <= M, is integral.  Every other entry is an
+    int c or c / p^e with e <= 2k + n, which the scaling clears, such as
+    f(1,0) = 1/p^2; when integral is false, one entry with k + n <= M
+    is 1 / p^(2k+n+1), one factor p too many."""
+    size = draw(st.integers(1, 7))
+    order = draw(st.integers(1, size))
+    p = draw(st.integers(2, 40))
+    entries = {}
+    for k in range(size + 1):
+        for n in range(size + 1 - k):
+            if n > 1 or k:
+                c = draw(st.integers(-9, 9))
+                entries[(k, n)] = Fraction(c, p ** draw(st.integers(0, 2 * k + n)))
+    entries[(0, 1)] = p * draw(st.sampled_from([1, -1]))
+    integral = draw(st.booleans())
+    if not integral:
+        k = draw(st.integers(0, order))
+        n = draw(st.integers(0, order - k))
+        if k == 0 and n < 2:
+            k, n = 1, 0  # f(0,0) and f(0,1) stay as they are
+        entries[(k, n)] = Fraction(1, p ** (2 * k + n + 1))
+    return CoeffTable(size, entries, "rational"), order, integral
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables_scaled_to_ints())
+def test_newton_on_tables_the_scaling_makes_integral_matches_the_oracles(case):
+    # the solve sums plain ints exactly when the scaled series is integral,
+    # and agrees with the substitution and the closed form either way
+    t, order, integral = case
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recording_dot(mp)
+        y = expand_newton(t, order).y
+    assert (calls == []) == integral
+    _assert_same_canonical(y, _newton_by_substitution(t, order))
+    _assert_same_canonical(y, expand_direct(t, order).y)
 
 
 def _module_state_sizes():
