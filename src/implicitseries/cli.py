@@ -44,11 +44,12 @@ PUBLISHED_CENSUS_15 = 91159
 # Lambert table 0.3 s at N=60 and 0.5 s at N=80.  Growing denominators
 # cost more: (3+x-y)^-3-1/27+y at N=80 takes 0.07 s to build (14 s when
 # the power squared a reciprocal box) and 12-22 s for compose.  Rational
-# newton at N=150 takes about 1.5 s and 21 MB on the dense table, whose
+# newton at N=150 takes 1.3-1.9 s and 23 MB on the dense table, whose
 # integral entries let it solve f(4x, 2y) = 0 with plain int sums (2.3 s
-# when each product went through dot), and 6.6-7.2 s and 27 MB on
-# log(1+x/3+7*y/5)*exp(x*y/2)+y/11, whose f(0,1) = 82/55 makes it solve
-# f(82^2 x, 82 y) = 0 over Fractions.  Its table,
+# when each product went through dot), and 7-12 s (median 10.3 s) and
+# 31 MB on log(1+x/3+7*y/5)*exp(x*y/2)+y/11, whose f(0,1) = 82/55 makes
+# it solve f(82^2 x, 82 y) = 0 over Fractions; its final check holds
+# every u^n / n! at once, about 4 MB more than one at a time.  Its table,
 # built over the triangle m + n <= N, takes 0.6 s of that; over the
 # square it took 2.0-2.6 s, and the run 9.6 s and 37 MB.
 # Symbolic output has about 1.85x more monomials per order: at N=15

@@ -30,8 +30,8 @@ polynomials in the table symbols, with negative powers of F(0, 1) only.
 from __future__ import annotations
 
 import time
+from itertools import repeat
 from math import comb, gcd, lcm
-from operator import mul
 
 from .algebra import (
     LaurentPoly,
@@ -47,7 +47,7 @@ from .combinatorics import (
     inverse_partition_terms,
 )
 from .series import (BivariateEGF, TaylorEGF, _convolve, _over_one_denominator, _pascal,
-                     _series_dot)
+                     _series_dot, _sums)
 
 _ZERO = 0
 
@@ -199,9 +199,9 @@ def as_bivariate(table, order=None):
         order = table.order
     if order > table.order:
         raise TableError("requested order exceeds the table")
-    return BivariateEGF(
-        [[table.entry(m, n) for n in range(order + 1 - m)] for m in range(order + 1)]
-    )
+    # the entries are canonical and nonzero already
+    return BivariateEGF._triangle(
+        order, {(m, n): c for (m, n), c in table._entries.items() if m + n <= order})
 
 
 def _column_power(table, powers, n, exponent, order):
@@ -534,22 +534,17 @@ def expand_newton(table, order=None):
     p = 1 if table.mode == "symbolic" else f01.numerator
     if p == 1:
         f = as_bivariate(table, order)
+        inv = invert_scalar(f01)
     else:
         scale = [p ** e for e in range(2 * order + 1)]
-        f = BivariateEGF([[table.entry(k, n) * scale[2 * k + n] for n in range(order + 1 - k)]
-                          for k in range(order + 1)])
+        f = BivariateEGF._triangle(order, {
+            (k, n): c * scale[2 * k + n] if type(c) is int
+            else div_int(c.numerator * scale[2 * k + n], c.denominator)
+            for (k, n), c in table._entries.items() if k + n <= order})
+        inv = invert_scalar(f01 * p)  # q / p^2, one over the scaled f(0,1)
     rows = f.coeffs
-    inv = invert_scalar(f01 * p)  # q / p^2, one over the scaled f(0,1)
-    # total(groups): the sum of w * (a . b) over the groups (w, a, b), a and
-    # b aligned sequences, zip stopping at the shorter
-    if all(type(c) is int for row in rows for c in row):
-        def total(groups):
-            return sum(w * sum(map(mul, a, b)) for w, a, b in groups)
-    else:
-        # dot sums Fractions over one common denominator and polynomials
-        # term by term, which plain products cannot
-        def total(groups):
-            return dot((w, x, y) for w, a, b in groups for x, y in zip(a, b) if x and y)
+    ints = all(type(c) is int for row in rows for c in row)
+    fold, weighted, total = _sums(ints, dot)
     pascal = _pascal(order)
     # pw[n][j] for n >= 1 and cols[j][n]: P(n, j), zero below j = n; pw[1] is u
     pw = [[_ZERO] * n for n in range(order + 1)]
@@ -558,19 +553,22 @@ def expand_newton(table, order=None):
     ys, diags = [], []
     for m in range(1, order + 1):
         t0 = time.perf_counter()
-        cu = list(map(mul, pascal[m - 1], u[1:]))  # C(m-1, i-1) u_i, i = 1..m-1
-        col = [_ZERO, _ZERO]  # u_m is unknown yet, so f(0,1) u_m drops out
+        cu = fold(pascal[m - 1], u[1:])  # C(m-1, i-1) with u_i, i = 1..m-1
+        # u_m is unknown yet, so f(0,1) u_m drops out; P(n, m) for n >= 2 is
+        # cu against P(n-1, m-1), P(n-1, m-2), ..., P(n-1, n-1)
+        col = [_ZERO, _ZERO] + weighted(repeat(cu), [pw[n - 1][m - 1:n - 2:-1]
+                                                     for n in range(2, m + 1)])
         for n in range(2, m + 1):
-            # cu against P(n-1, m-1), P(n-1, m-2), ..., P(n-1, n-1)
-            col.append(total(((1, cu, pw[n - 1][m - 1:n - 2:-1]),)))
             pw[n].append(col[n])
         cols.append(col)
         # C(m, k) times row k of f against column m - k of P, over k
-        um = col[1] = as_coefficient(-(total(zip(pascal[m], rows, reversed(cols))) * inv))
+        um = col[1] = as_coefficient(-(total(pascal[m], rows, reversed(cols)) * inv))
         u.append(um)
         ym = um if p == 1 else div_int(um, scale[2 * m - 1])
         ys.append(ym)
         diags.append(_diag(ym, t0))
+    # the check reads none of the solve's P(n, j), whose memory it can reuse
+    del pw, cols, u, col, cu
     check = ys if p == 1 else [y * scale[2 * m - 1] for m, y in enumerate(ys, 1)]
     final = f.substitute_y(TaylorEGF([_ZERO, *check], order=order), order=order)
     if not final.is_zero():

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain
-from math import comb, lcm
-from operator import mul
+from itertools import chain, repeat
+from math import comb, gcd, lcm
+from operator import add, mul, sub
 
 from .algebra import (LaurentPoly, NotInvertibleError, as_coefficient, div_int, dot,
                       invert_scalar, power)
@@ -102,40 +102,18 @@ def _series_dot(terms, order):
     An operand is read through index order - i_0 when the other starts
     at x^(i_0), so it may stop there or run past the order.  The kernel
     walks A, its outer operand, by the nonzero coefficients, so callers
-    put the sparser operand first where it is not known (`_sparser_first`).
-    Numbers sum in one `_convolve` on ints over the common denominators,
-    so that no term makes a Fraction and its gcd.  When an operand starts
-    with a polynomial, every sum is one `dot` per output coefficient,
-    which costs such sums no LaurentPoly per term.  The first nonzero
-    coefficient decides, as the int path scales a later polynomial
-    coefficient by multiplication and gives the same value."""
+    put the sparser operand first where they know it.  Numbers sum in one
+    `_convolve` on ints over the common denominators, so that no term
+    makes a Fraction and its gcd.  When an operand starts with a
+    polynomial, every sum is one `dot` per output coefficient, which costs
+    such sums no LaurentPoly per term.  The first nonzero coefficient
+    decides, as the int path scales a later polynomial coefficient by
+    multiplication and gives the same value."""
     if any(_starts_polynomial(a) or _starts_polynomial(b) for _, a, b in terms):
         terms = [(k, [(i, c) for i, c in enumerate(a) if c], b) for k, a, b in terms]
         return [dot([(k * cn[i], c, b[n - i]) for k, pairs, b in terms
                      for i, c in pairs if i <= n and b[n - i]])
                 for n, cn in enumerate(_pascal(order))]
-    d, out = _int_dot(terms, order)
-    return [div_int(c, d) for c in out] if d > 1 else out
-
-
-def _sparser_first(k, a, b):
-    """The term (k, A, B) with the operand of fewer nonzero coefficients
-    first, as the kernel's outer one.  The recurrences put the rows of F
-    first and a product its left factor; `substitute_y` orients each of
-    its pairs: in newton's check u^n / n! against a dense column, and a
-    column of the Lambert table, one nonzero entry, against u^n / n!."""
-    return (k, b, a) if sum(map(bool, b)) < sum(map(bool, a)) else (k, a, b)
-
-
-def _starts_polynomial(a):
-    """Whether the first nonzero coefficient of a is a LaurentPoly."""
-    return type(next(filter(None, a), 0)) is LaurentPoly
-
-
-def _int_dot(terms, order):
-    """(d, V) with V / d the sum of `_series_dot` for number operands,
-    the outer operand first: one `_convolve` on ints, d the lcm of the
-    terms' common denominators."""
     scaled = []
     for k, a, b in terms:
         da, (a,) = _over_one_denominator((a,))
@@ -143,7 +121,50 @@ def _int_dot(terms, order):
             db, (b,) = _over_one_denominator((b,))
             scaled.append((da * db, k, pairs, b))
     d = lcm(*[dk for dk, _, _, _ in scaled])
-    return d, _convolve([(k * (d // dk), pairs, b) for dk, k, pairs, b in scaled], order)
+    out = _convolve([(k * (d // dk), pairs, b) for dk, k, pairs, b in scaled], order)
+    return [div_int(c, d) for c in out] if d > 1 else out
+
+
+def _starts_polynomial(a):
+    """Whether the first nonzero coefficient of a is a LaurentPoly."""
+    return type(next(filter(None, a), 0)) is LaurentPoly
+
+
+def _sums(ints, dot):
+    """(fold, weighted, total), the sums of products of `substitute_y`
+    and of newton's solve, on ints or, when ints is false, through dot,
+    the `dot` of the caller's module:
+
+        fold(w, a)          a with its weights w
+        weighted(was, bs)   [sum_i w_i a_i b_i for (wa, b) in zip(was, bs)], wa folded
+        total(w, a, b)      sum_k w_k (a_k . b_k)
+
+    zip stopping at the shorter sequence.  On ints each is a
+    `sum(map(mul, ...))` mapped at C speed, fold multiplying the weights
+    into a once.  Otherwise each is one `dot` over the nonzero products
+    with the weights in its triples, which sums Fractions over one common
+    denominator and makes no scaled copy of a polynomial."""
+    if ints:
+        def fold(w, a):
+            return list(map(mul, w, a))
+
+        def weighted(was, bs):
+            return list(map(sum, map(map, repeat(mul), was, bs)))
+
+        def total(w, a, b):
+            return sum(map(mul, w, map(sum, map(map, repeat(mul), a, b))))
+    else:
+        def fold(w, a):
+            return list(zip(w, a))
+
+        def weighted(was, bs):
+            return [dot((w, a, x) for (w, a), x in zip(wa, b) if a and x)
+                    for wa, b in zip(was, bs)]
+
+        def total(w, a, b):
+            return dot((wk, x, y) for wk, ak, bk in zip(w, a, b)
+                       for x, y in zip(ak, bk) if x and y)
+    return fold, weighted, total
 
 
 def _add_products(s, terms):
@@ -224,6 +245,12 @@ def _times(x, d):
     """x * d as an int for a scalar x whose denominator divides the int d;
     a LaurentPoly x, whose denominator counts as 1, is multiplied."""
     return x * d if type(x) is LaurentPoly else x.numerator * (d // x.denominator)
+
+
+def _canonical_row(values):
+    """Sums or products of canonical coefficients, made canonical: only the
+    non-ints go through `as_coefficient`, which makes 1/2 + 1/2 the int 1."""
+    return [c if type(c) is int else as_coefficient(c) for c in values]
 
 
 def _divider(f0):
@@ -536,22 +563,19 @@ class BivariateEGF:
         if not isinstance(other, BivariateEGF):
             return NotImplemented
         self._check(other)
-        return BivariateEGF([
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.coeffs, other.coeffs)
-        ])
+        return BivariateEGF._raw([_canonical_row(map(add, ra, rb))
+                                  for ra, rb in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         if not isinstance(other, BivariateEGF):
             return NotImplemented
         self._check(other)
-        return BivariateEGF([
-            [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.coeffs, other.coeffs)
-        ])
+        return BivariateEGF._raw([_canonical_row(map(sub, ra, rb))
+                                  for ra, rb in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return BivariateEGF([[-c for c in row] for row in self.coeffs])
+        # the negation of a canonical coefficient is canonical
+        return BivariateEGF._raw([[-c for c in row] for row in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, BivariateEGF):
@@ -575,7 +599,8 @@ class BivariateEGF:
                 out = [[div_int(c, d) for c in row] for row in out]
             return BivariateEGF._raw(out)
         if isinstance(other, (int, Fraction, LaurentPoly)):
-            return BivariateEGF([[c * other if c else c for c in row] for row in self.coeffs])
+            return BivariateEGF._raw([_canonical_row(c * other if c else c for c in row)
+                                      for row in self.coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -650,11 +675,15 @@ class BivariateEGF:
         Exact through the output order because u has positive valuation, so
         u^n / n! starts at x^n; it follows that column n reaches the output
         only through x^(order - n), and only the triangle m + n <= order of
-        the stored one is read.  The powers u^n / n! are built by the
-        series product.  Over numbers each column's product is one
-        `_int_dot` folded into an int sum over the lcm of the denominators
-        so far, so one power is held at a time; over polynomials the whole sum is one `_series_dot` of
-        the pairs (u^n / n!, column n), one `dot` per output coefficient.
+        the stored one is read.  Output coefficient t is
+
+            sum_k C(t, k) sum_n f(k, n) P(n, t - k),
+
+        P(n, j) coefficient j of u^n / n! (`_divided_powers`), so each
+        binomial multiplies one inner sum.  On numbers the triangle and the
+        powers are ints over their common denominators; when any entry or
+        coefficient of u is a polynomial, each output coefficient is one
+        `dot` (`_sums`).
         """
         if order is None:
             order = min(self.order, u.order)
@@ -662,29 +691,65 @@ class BivariateEGF:
             raise MixedOrderError("substitution order exceeds an operand's order")
         if u.coeffs[0]:
             raise ConstantTermError("substitution needs a zero constant term")
-        u = u.truncate(order)
-        cols = [[row[n] for row in self.coeffs[:order + 1 - n]] for n in range(order + 1)]
-        if _starts_polynomial(u.coeffs) or any(map(_starts_polynomial, cols)):
-            return TaylorEGF._raw(_series_dot(
-                [_sparser_first(1, p, col) for p, col in zip(_divided_powers(u, order), cols)],
-                order))
-        d, total = 1, [0] * (order + 1)
-        for p, col in zip(_divided_powers(u, order), cols):
-            if any(col):
-                dn, part = _int_dot([_sparser_first(1, p, col)], order)
-                m = lcm(d, dn)
-                total = [t * (m // d) + c * (m // dn) for t, c in zip(total, part)]
-                d = m
-        return TaylorEGF._raw([div_int(c, d) for c in total] if d > 1 else total)
+        u = u.coeffs[:order + 1]
+        rows = [row[:order + 1 - k] for k, row in enumerate(self.coeffs[:order + 1])]
+        ints = LaurentPoly not in map(type, chain(u, *rows))
+        du, d = 1, 1
+        if ints:
+            du, (u,) = _over_one_denominator((u,))
+        # column n reaches the output only through u^n / n!, so the powers
+        # stop at the last column with a nonzero entry
+        top = next((n for n in range(order, 0, -1)
+                    if any(row[n] for row in rows[:order + 1 - n])), 0)
+        fold, weighted, total = _sums(ints, dot)
+        e, powers = _divided_powers(u, du, top, ints, fold, weighted)
+        if ints:
+            # scaled after the powers, once their folded u is gone, so that
+            # the three are never held at once
+            d, rows = _over_one_denominator(rows)
+        rows = [row if any(row) else () for row in rows]  # a zero row makes no product
+        out = [total(ct, rows, reversed(powers[:t + 1])) for t, ct in enumerate(_pascal(order))]
+        d *= e
+        return TaylorEGF._raw([div_int(c, d) for c in out] if d > 1 else out)
 
 
-def _divided_powers(u, order):
-    """The coefficients of u^n / n! for n = 0, 1, ..., through x^order,
-    until the first zero power."""
-    upow = TaylorEGF.one(order)
-    yield upow.coeffs
-    for n in range(1, order + 1):
-        upow = upow * u / n
-        if upow.is_zero():
-            return
-        yield upow.coeffs
+def _divided_powers(u, du, top, ints, fold, weighted):
+    """(e, Q), Q[j][n] / e being P(n, j), coefficient j of u^n / n!, for
+    n = 0..top, Q[j] ending where P(n, j) must vanish.  u / du is u: ints
+    over their common denominator du when ints is true, else du = 1; fold
+    and weighted come from `_sums`.
+
+        P(n, t) = (1/n) sum_i C(t, i) P(n-1, i) u_(t-i),
+
+    the series product (u^(n-1) / (n-1)!) u over n, with C(t, i) u_(t-i)
+    folded once per t for every power.  On ints a power is (d_n, ints over
+    d_n), reduced by one gcd as in `implicit._lagrange_g`, and at the end
+    is scaled in place to the common denominator e, so that one copy is
+    held, then transposed; polynomial powers are divided by n as they are
+    made, at e = 1.  u^n / n! starts at x^(n v), v the valuation of u, so
+    the powers stop at n = order / v and each sum skips the leading zeros
+    of its operands."""
+    order = len(u) - 1
+    v = next((t for t, c in enumerate(u) if c), order + 1)
+    top = min(top, order // v)
+    pascal = _pascal(order)
+    # C(t, i) u_(t-i) for i = 0..t - v
+    uc = [fold(pascal[t], u[t:v - 1:-1]) for t in range(order + 1)] if top else []
+    powers, dens = [[1] + [0] * order], [1]
+    for n in range(1, top + 1):
+        lo = (n - 1) * v
+        prev = powers[-1][lo:]
+        row = [0] * (n * v) + weighted([w[lo:] for w in uc[n * v:]], repeat(prev))
+        if ints:
+            den = n * dens[-1] * du
+            g = gcd(den, *row)
+            dens.append(den // g)
+            powers.append([c // g for c in row] if g > 1 else row)
+        else:
+            powers.append([div_int(c, n) if c else c for c in row])
+    del uc
+    e = lcm(*dens)
+    for row, dn in zip(powers, dens):
+        if dn < e:
+            row[:] = [c * (e // dn) for c in row]
+    return e, [[p[j] for p in powers[:min(top, j // v) + 1]] for j in range(order + 1)]

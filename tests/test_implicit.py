@@ -1024,6 +1024,26 @@ def test_newton_s_check_catches_one_wrong_solved_coefficient(monkeypatch, text):
     assert u[3] == (want[2] + 1) * p ** 5
 
 
+def test_a_symbolic_newton_run_scales_no_polynomial_by_an_int(monkeypatch):
+    # the binomials C(m-1, i-1) of the power update and C(t, i) of the
+    # check ride in dot's triples as weights; scaling each u_i by its
+    # binomial instead made 45 polynomial copies at N = 10
+    table = CoeffTable.symbolic(10)
+    want = expand_direct(table).y
+    products = []
+    for name in ("__mul__", "__rmul__"):
+        inner = getattr(LaurentPoly, name)
+
+        def wrapper(self, other, inner=inner):
+            if not isinstance(other, LaurentPoly):
+                products.append(other)
+            return inner(self, other)
+
+        monkeypatch.setattr(LaurentPoly, name, wrapper)
+    assert expand_newton(table).y == want
+    assert products == []
+
+
 @st.composite
 def _tables_with_large_f01(draw):
     """Rational tables of order <= 7 whose f(0,1) has a numerator in

@@ -435,6 +435,28 @@ def test_box_product_is_the_plain_fraction_loop(pair):
     assert all(map(_canonical_coefficient, (c for row in got.coeffs for c in row)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(_box_pairs(), st.one_of(_MIXED, _POLYS))
+def test_trusted_sums_and_scalar_products_are_what_the_validating_constructor_builds(pair, k):
+    # +, -, unary - and the scalar product build through BivariateEGF._raw
+    # and canonicalize only their non-int results
+    a, b = (BivariateEGF(c) for c in pair)
+    cases = [(a + b, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.coeffs, b.coeffs)]),
+             (a - b, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.coeffs, b.coeffs)]),
+             (-a, [[-x for x in row] for row in a.coeffs]),
+             (a * k, [[x * k if x else x for x in row] for row in a.coeffs]),
+             (k * a, [[x * k if x else x for x in row] for row in a.coeffs])]
+    for got, entries in cases:
+        assert _canon(got) == _canon(BivariateEGF(entries))
+
+
+def test_trusted_sums_make_an_integral_fraction_an_int():
+    half = BivariateEGF([[Fraction(1, 2), 0], [Fraction(3, 2)]])
+    assert _canon(half + half) == [("int", 1), ("int", 0), ("int", 3)]
+    assert _canon(half - half * 3) == [("int", -1), ("int", 0), ("int", -3)]
+    assert _canon(half * Fraction(2, 3)) == [("Fraction", Fraction(1, 3)), ("int", 0), ("int", 1)]
+
+
 def test_exact_rational_sums_make_no_fraction_arithmetic(monkeypatch):
     # the series products and dot's scalar sum run on ints over one common
     # denominator: no Fraction is multiplied or added, and only the results
@@ -854,6 +876,43 @@ def test_substitute_y_matches_plain_oracle():
         want = _from_plain(
             _subst_plain(_box_to_plain(box), _to_plain(u), order))
         assert list(got.coeffs) == want
+
+
+@st.composite
+def _substitutions(draw):
+    """(triangle, u) of one order 0..8 for substitute_y.  Each row of the
+    triangle, and u, holds ints, Fractions or small polynomials among ints;
+    the Fractions of the triangle have denominators 3, 7 or 9 and those of
+    u 2, 4 or 5, so the two common denominators differ.  u has valuation 1
+    to 3, so that from valuation 2 on a power u^n / n! vanishes before
+    n reaches the order."""
+    order = draw(st.integers(0, 8))
+
+    def entries(denominators, size):
+        elements = draw(st.sampled_from([
+            _INTS, st.builds(Fraction, st.integers(-9, 9), st.sampled_from(denominators)),
+            st.one_of(_INTS, _POLYS)]))
+        return draw(st.lists(elements, min_size=size, max_size=size))
+
+    box = [entries((3, 7, 9), order + 1 - m) for m in range(order + 1)]
+    v = min(draw(st.integers(1, 3)), order + 1)
+    return box, [0] * v + entries((2, 4, 5), order + 1 - v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_substitutions())
+def test_substitute_y_matches_the_plain_oracle_on_drawn_entries(case):
+    box, u = case
+    order = len(u) - 1
+    got = BivariateEGF(box).substitute_y(TaylorEGF(u))
+
+    def exact(row):
+        # the oracle divides by factorials, which an int would do in floats
+        return [c if isinstance(c, LaurentPoly) else Fraction(c) for c in row]
+
+    want = _subst_plain(_box_to_plain(list(map(exact, box))), _to_plain(exact(u)), order)
+    assert list(got.coeffs) == _from_plain(want)
+    assert all(map(_canonical_coefficient, got.coeffs))
 
 
 def test_substitute_y_truncation_consistency():
