@@ -110,6 +110,11 @@ GOLDEN_OUTPUTS = [
     # the benchmark's symbolic size, with every power F(0,1)^-k through -19
     (("--mode", "symbolic", "-N", "10", "--method", "direct"),
      "46484e1e6941e5d71cd97aede21a95e8155fb76e3fdbc1900a00d40692b45296"),
+    # a quotient, exp, a negative power, log, and the squaring of
+    # log(1+x*y), whose constant term 0 has no inverse
+    (("--expr", "y-x/(1+x+exp(y/3))+(2+x-y)^-3-1/8+log(1+x*y)^3", "-N", "12",
+      "--method", "all"),
+     "ad368d73cf220cfd0428c1568c92fb0c8c4c55786829414cf02bf454d3519b7c"),
 ]
 
 
