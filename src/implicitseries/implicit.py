@@ -197,8 +197,8 @@ def as_bivariate(table, order=None):
     entries with m + n <= order."""
     if order is None:
         order = table.order
-    if order > table.order:
-        raise TableError("requested order exceeds the table")
+    if not 0 <= order <= table.order:
+        raise TableError(f"requested order {order} is outside 0..{table.order}")
     # the entries are canonical and nonzero already
     return BivariateEGF._triangle(
         order, {(m, n): c for (m, n), c in table._entries.items() if m + n <= order})

@@ -181,21 +181,38 @@ def _add_products(s, terms):
     return dot([(1, s, _ONE), *terms])
 
 
-def _exp_rows(f, g0):
-    """The rows G_0..G_N of G = exp F from the rows F_0..F_N of F and
-    g0 = exp F_0, by G' = F' G: G_{m+1} = sum_i C(m, i) F_{i+1} G_{m-i}.
+def _ode_rows(f, g0, a, divide=None, s=None):
+    """The rows G_0..G_N of the G that solves L G' = a F' G + S' from
+    G_0 = g0, the rows F_0..F_N of F and those of S (none: S = 0), ' being
+    d/dx: L = F when divide, T -> T / F_0, is given, else L = 1.  Row by row,
+
+        F_0 G_(m+1) = S_(m+1) + sum_{j=1}^{m+1} (a C(m, j-1) - C(m, j)) F_j G_(m+1-j),
+
+    and G_(m+1) = S_(m+1) + sum_j C(m, j-1) F_j G_(m+1-j) when L = 1, where
+    a must be 1.  So F^k is a = k (J. C. P. Miller's recurrence; Knuth,
+    TAOCP Vol. 2, 4.7), 1 / F is a = -1, R / F is a = -1 with S = R, log F
+    is a = 0 with S = F, and exp F is a = 1 with L = 1.
 
     A row is a scalar (a one-variable series) or a series in y (a
-    bivariate one, row m of order N - m); ' is the derivative in x.  Each
-    row is one `_add_products` pass, at the order of F_(m+1), and a zero
-    F_(i+1) or G_(m-i) makes no product.  Each row is tested for zero
-    once, as it is made, as the test of a series in y reads every
-    coefficient; so are the rows of `_quotient_rows` and `_power_rows`.
-    """
-    g, live_f, live_g = [g0], list(map(bool, f)), [bool(g0)]
-    for m, cm in enumerate(_pascal(len(f) - 2)):
-        g.append(_add_products(_zero_like(f[m + 1]), [
-            (cm[i], f[i + 1], g[m - i]) for i in range(m + 1) if live_f[i + 1] and live_g[m - i]]))
+    bivariate one, row m of order N - m), and divide is the product by the
+    scalar 1 / F_0 or `_divider`'s solve, whose one divider of F_0's order
+    serves every shorter row.  Each row is one `_add_products` pass, at the
+    order of F_(m+1); a zero weight, F_j or G_(m+1-j) makes no product, so
+    a base with r nonzero rows costs about r N row products.  Each row is
+    tested for zero once, as it is made, as the test of a series in y reads
+    every coefficient."""
+    g, live_g = [g0], [bool(g0)]
+    # the j >= 1 of the nonzero F_j, of which row m + 1 reads the first k
+    nz, k = [j for j in range(1, len(f)) if f[j]], 0
+    for m in range(len(f) - 1):
+        cm = _binomials(m) + (0,)
+        k += k < len(nz) and nz[k] == m + 1
+        # a weight is made only for a live term, and its sign rides on the
+        # int, so no polynomial is negated
+        row = _add_products(s[m + 1] if s else _zero_like(f[m + 1]), [
+            (w, f[j], g[m + 1 - j]) for j in nz[:k]
+            if live_g[m + 1 - j] and (w := a * cm[j - 1] - cm[j] if divide else cm[j - 1])])
+        g.append(divide(row) if divide else row)
         live_g.append(bool(g[-1]))
     return g
 
@@ -203,42 +220,6 @@ def _exp_rows(f, g0):
 def _zero_like(row):
     """The zero of row's kind: a series in y of row's order, or 0."""
     return TaylorEGF._raw((_ZERO,) * len(row.coeffs)) if isinstance(row, TaylorEGF) else _ZERO
-
-
-def _quotient_rows(f, r, divide):
-    """The rows Q_0..Q_M of Q = R / F from the rows of F and R, by F Q = R:
-    Q_m = (R_m - sum_{i>=1} C(m, i) F_i Q_{m-i}) / F_0.  Rows are as in
-    `_exp_rows`, Q_m at the order of R_m; divide(S) is S / F_0, the
-    product by the scalar 1 / F_0 for scalar rows and `_divider`'s
-    triangular solve for rows in y, whose one divider of F_0's order
-    serves every shorter row."""
-    q, live_f, live_q = [], list(map(bool, f)), []
-    for m in range(len(r)):
-        # the sign rides on the int, so no polynomial is negated
-        q.append(divide(_add_products(r[m], [(-comb(m, i), f[i], q[m - i]) for i in range(1, m + 1)
-                                             if live_f[i] and live_q[m - i]])))
-        live_q.append(bool(q[-1]))
-    return q
-
-
-def _power_rows(f, k, g0, divide):
-    """The rows G_0..G_N of G = F^k, k any integer, from the rows of F,
-    g0 = F_0^k and divide as in `_quotient_rows`, by J. C. P. Miller's
-    recurrence F G' = k F' G (Knuth, TAOCP Vol. 2, 4.7):
-
-        F_0 G_(m+1) = sum_{j=1}^{m+1} (k C(m, j-1) - C(m, j)) F_j G_(m+1-j).
-
-    A zero F_j is skipped, so a base with r nonzero rows costs about r N
-    row products where repeated squaring makes a dense product per step.
-    """
-    g, live_f, live_g = [g0], list(map(bool, f)), [bool(g0)]
-    for m in range(len(f) - 1):
-        cm = _binomials(m) + (0,)
-        g.append(divide(_add_products(_zero_like(f[m + 1]), [
-            (w, f[j], g[m + 1 - j]) for j in range(1, m + 2)
-            if (w := k * cm[j - 1] - cm[j]) and live_f[j] and live_g[m + 1 - j]])))
-        live_g.append(bool(g[-1]))
-    return g
 
 
 def _times(x, d):
@@ -316,6 +297,8 @@ class TaylorEGF:
     def __init__(self, coeffs, order=None):
         coeffs = [as_coefficient(c) for c in coeffs]
         if order is not None:
+            if order < 0:
+                raise ValueError(f"negative order {order}")
             if len(coeffs) > order + 1:
                 raise ValueError("more coefficients than the order allows")
             coeffs.extend([_ZERO] * (order + 1 - len(coeffs)))
@@ -332,11 +315,11 @@ class TaylorEGF:
 
     @classmethod
     def zero(cls, order):
-        return cls([_ZERO] * (order + 1))
+        return cls([], order)
 
     @classmethod
     def one(cls, order):
-        return cls([_ONE] + [_ZERO] * order)
+        return cls([_ONE], order)
 
     @classmethod
     def identity(cls, order):
@@ -367,8 +350,8 @@ class TaylorEGF:
             raise MixedOrderError(f"orders differ: {self.order} vs {other.order}")
 
     def truncate(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
+        if not 0 <= order <= self.order:
+            raise ValueError(f"truncation order {order} is outside 0..{self.order}")
         return TaylorEGF._raw(self.coeffs[: order + 1])
 
     def __add__(self, other):
@@ -412,7 +395,7 @@ class TaylorEGF:
         """Integer power; negative exponents go through the reciprocal and
         need an invertible constant term.  Repeated squaring is kept here,
         as its products convolve ints over one denominator: on the dense
-        Fraction series exp(y/3) at N=40, `_power_rows` took about 1.4 ms
+        Fraction series exp(y/3) at N=40, `_ode_rows` took about 1.4 ms
         for the cube against 0.5 ms, each of its scalar rows making a
         Fraction."""
         if exponent < 0:
@@ -426,8 +409,7 @@ class TaylorEGF:
         except NotInvertibleError:
             raise NotInvertibleError(
                 f"constant term is not invertible: {self.coeffs[0]}") from None
-        return TaylorEGF(_quotient_rows(self.coeffs, [_ONE] + [_ZERO] * self.order,
-                                        partial(mul, inv0)))
+        return TaylorEGF(_ode_rows(self.coeffs, inv0, -1, partial(mul, inv0)))
 
     def coeff_of_power(self, exponent, n):
         """Coefficient n of self**exponent, exponent any integer."""
@@ -451,6 +433,8 @@ class TaylorEGF:
         """Compositional inverse h, h(self(x)) = x through the order.
         Needs zero constant term and invertible linear term."""
         g = self.coeffs
+        if self.order < 1:
+            raise ValueError("reversion needs order >= 1")
         if g[0]:
             raise ConstantTermError("reversion needs a zero constant term")
         try:
@@ -470,14 +454,13 @@ class TaylorEGF:
         """Series exponential; needs a zero constant term."""
         if self.coeffs[0]:
             raise ConstantTermError("exp needs a zero constant term")
-        return TaylorEGF(_exp_rows(self.coeffs, _ONE))
+        return TaylorEGF(_ode_rows(self.coeffs, _ONE, 1))
 
     def log(self):
         """Series logarithm; needs constant term exactly 1."""
         if self.coeffs[0] != 1:
             raise ConstantTermError("log needs constant term 1")
-        return TaylorEGF([_ZERO] + _quotient_rows(self.coeffs, self.coeffs[1:],
-                                                  partial(mul, _ONE)))
+        return TaylorEGF(_ode_rows(self.coeffs, _ZERO, 0, partial(mul, _ONE), self.coeffs))
 
 
 class BivariateEGF:
@@ -512,6 +495,8 @@ class BivariateEGF:
     def _triangle(cls, order, entries):
         """The series of the given order whose nonzero coefficients are
         entries, a dict {(m, n): canonical value}."""
+        if order < 0:
+            raise ValueError(f"negative order {order}")
         rows = [[_ZERO] * (order + 1 - m) for m in range(order + 1)]
         for (m, n), c in entries.items():
             rows[m][n] = c
@@ -605,37 +590,28 @@ class BivariateEGF:
 
     __rmul__ = __mul__
 
-    # exp, log, quotients and integer powers run `_exp_rows`,
-    # `_quotient_rows` and `_power_rows` over the rows F_m(y) of the
-    # triangle, one series in y of order N - m each: exp by G' = F'G, log
-    # by G' = F'/F, a quotient by FQ = R and a power by FG' = kF'G, ' being
-    # d/dx.  All but exp divide each row by F_0 through `_divider`, so a
-    # sparse F_0 such as 1 + y costs a sparse solve.  Row 0 is the one-variable operation on
-    # F_0(y); its domain check on F(0, 0) runs before any recurrence and
-    # raises the bivariate operation's error.
-
     def _rows(self):
         return [TaylorEGF._raw(row) for row in self.coeffs]
 
     def __truediv__(self, other):
         """The series divided by a nonzero int, exactly (see div_int), or
-        by a series whose constant term is a unit, in one `_quotient_rows`
-        pass over the rows of self."""
+        by a series whose constant term is a unit, in one `_ode_rows` pass
+        over the rows of self."""
         if isinstance(other, int):
             return BivariateEGF([[div_int(c, other) for c in row] for row in self.coeffs])
         if not isinstance(other, BivariateEGF):
             return NotImplemented
         self._check(other)
-        f = other._rows()
-        return BivariateEGF._raw([q.coeffs for q in _quotient_rows(f, self._rows(),
-                                                                   _divider(f[0]))])
+        f, r = other._rows(), self._rows()
+        divide = _divider(f[0])
+        return BivariateEGF._raw(q.coeffs for q in _ode_rows(f, divide(r[0]), -1, divide, r))
 
     def pow_int(self, exponent):
         """Integer power.  Exponents 1 and 2 square (no product or one:
         for 2 the recurrence's larger operands lose 10-40% on both sparse
         and dense bases), as does a positive exponent whose constant term
         has no inverse, F_0 then having none to divide by.  Every other
-        exponent k runs `_power_rows` from G_0 = F_0(y)^k and makes no
+        exponent k runs `_ode_rows` from G_0 = F_0(y)^k and makes no
         bivariate product.  A negative exponent with a constant term that is
         not a unit raises NotInvertibleError."""
         if not exponent:
@@ -649,8 +625,8 @@ class BivariateEGF:
             if exponent > 0:
                 return power(self, exponent)
             raise
-        return BivariateEGF._raw([g.coeffs for g in
-                                  _power_rows(f, exponent, f[0].pow_int(exponent), divide)])
+        return BivariateEGF._raw(g.coeffs for g in
+                                 _ode_rows(f, f[0].pow_int(exponent), exponent, divide))
 
     def reciprocal(self):
         """Multiplicative inverse; the constant term must be a unit."""
@@ -659,14 +635,12 @@ class BivariateEGF:
     def exp(self):
         """Exponential; needs a zero constant term."""
         f = self._rows()
-        return BivariateEGF._raw([g.coeffs for g in _exp_rows(f, f[0].exp())])
+        return BivariateEGF._raw(g.coeffs for g in _ode_rows(f, f[0].exp(), 1))
 
     def log(self):
         """Logarithm; needs constant term exactly 1."""
         f = self._rows()
-        g0 = f[0].log()
-        d = _quotient_rows(f, f[1:], _divider(f[0]))
-        return BivariateEGF._raw([g.coeffs for g in [g0, *d]])
+        return BivariateEGF._raw(g.coeffs for g in _ode_rows(f, f[0].log(), 0, _divider(f[0]), f))
 
     def substitute_y(self, u, order=None):
         """The one-variable series f(x, u(x)) = sum_n F^(n)(x) u^n / n!,
@@ -689,6 +663,8 @@ class BivariateEGF:
             order = min(self.order, u.order)
         if order > self.order or order > u.order:
             raise MixedOrderError("substitution order exceeds an operand's order")
+        if order < 0:
+            raise ValueError(f"negative order {order}")
         if u.coeffs[0]:
             raise ConstantTermError("substitution needs a zero constant term")
         u = u.coeffs[:order + 1]

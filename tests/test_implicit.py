@@ -4,9 +4,11 @@ The Newton path never touches the combinatorial machinery, so agreement of
 all three methods on random tables is a genuine cross-check, not an echo.
 """
 
+import gc
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -1164,6 +1166,38 @@ def test_distinct_tables_leave_no_growing_module_cache():
         for method in methods:
             expand(t, 6, method)
     assert _module_state_sizes() == before
+
+
+def test_distinct_tables_retain_no_memory():
+    # what the module scan above cannot see, such as a class attribute or a
+    # memo on a shared object: after a warm-up batch, distinct tables through
+    # every method leave no allocation behind.  The growth is read over the
+    # second of two traced batches, as what the interpreter keeps once (a
+    # freelist or an internal cache filled under tracing) lands in the first
+    # and what each table leaves behind lands in both
+    rng = random.Random(505)
+
+    def batch(count):
+        for _ in range(count):
+            t = _random_table(rng, rng.randint(3, 6))
+            for method in ("direct", "compose", "newton"):
+                expand(t, t.order, method)
+
+    batch(20)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        traced = []
+        for _ in range(2):
+            batch(20)
+            gc.collect()
+            traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    # less than one small object per table.  Under CPython 3.11 the second
+    # batch reads 64 bytes, as it does with no tables at all: the first
+    # reading's own objects
+    assert traced[1] - traced[0] < 20 * 32
 
 
 @pytest.mark.parametrize("method", ["direct", "compose", "newton"])

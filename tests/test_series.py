@@ -284,6 +284,23 @@ def test_reversion_domain_errors():
         TaylorEGF([0, 0, 1]).reversion()
 
 
+@pytest.mark.parametrize("build,error", [
+    (lambda: TaylorEGF([1, 2]).truncate(-1), ValueError),
+    (lambda: TaylorEGF.zero(-1), ValueError),
+    (lambda: TaylorEGF.one(-1), ValueError),
+    (lambda: BivariateEGF.zero(-1), ValueError),
+    (lambda: BivariateEGF.const(1, -1), ValueError),
+    (lambda: implicit.as_bivariate(CoeffTable(2, {(0, 1): 1}), -1), implicit.TableError),
+    (lambda: BivariateEGF.const(1, 2).substitute_y(TaylorEGF([0, 1, 0]), order=-1), ValueError),
+    (lambda: TaylorEGF([0]).reversion(), ValueError),
+], ids=["truncate", "taylor-zero", "taylor-one", "bivariate-zero", "bivariate-const",
+        "as-bivariate", "substitute-y", "order-0-reversion"])
+def test_negative_orders_and_order_0_reversion_raise(build, error):
+    # an order below 0, or reversion at order 0, is refused before any work
+    with pytest.raises(error, match="order"):
+        build()
+
+
 def test_symbolic_coefficients_flow_through():
     f01 = fsym(0, 1)
     a = TaylorEGF([f01, fsym(1, 1), 0])
@@ -500,7 +517,7 @@ def test_exact_rational_sums_make_no_fraction_arithmetic(monkeypatch):
     got = run(lambda: dot(triples))
     assert got == want[2] and calls == ["__new__"]
     # so do the Miller steps of a rational g_j.  Column 1's reciprocal is
-    # built first: it runs the recurrence of _quotient_rows on Fractions
+    # built first: it runs the recurrence of _ode_rows on Fractions
     table = CoeffTable(6, {(m, n): number() for m in range(7) for n in range(7)
                            if (m, n) != (0, 0)} | {(0, 1): Fraction(3, 7)}, "rational")
     want = implicit._partition_g(table, {}, 5, 6)
@@ -782,14 +799,14 @@ def test_power_rows_equal_repeated_squaring(base, k):
     if bivariate:
         f = BivariateEGF(coeffs)
         rows = f._rows()
-        got = BivariateEGF([g.coeffs for g in series._power_rows(
-            rows, k, rows[0].pow_int(k), series._divider(rows[0]))])
+        got = BivariateEGF([g.coeffs for g in series._ode_rows(
+            rows, rows[0].pow_int(k), k, series._divider(rows[0]))])
         one = BivariateEGF.const(1, order)
     else:
         f = TaylorEGF(coeffs)
         c0, inv0 = f.coeffs[0], invert_scalar(f.coeffs[0])
-        got = TaylorEGF(series._power_rows(f.coeffs, k, c0 ** k if k > 0 else inv0 ** -k,
-                                           lambda s: inv0 * s))
+        got = TaylorEGF(series._ode_rows(f.coeffs, c0 ** k if k > 0 else inv0 ** -k, k,
+                                         lambda s: inv0 * s))
         one = TaylorEGF.one(order)
     if k >= 0:
         assert got == (power(f, k) if k else one)
