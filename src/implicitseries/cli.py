@@ -146,7 +146,8 @@ def _require_key(obj, key, kind, where):
 
 
 def load_table_file(path, order):
-    """Read the JSON table format and cut the box needed for the order.
+    """Read the JSON table format and cut the triangle m + n <= order, all
+    an expansion to the order reads.
 
     {"max_m": int, "max_n": int, "entries": [{"m", "n", "v"}, ...]};
     absent entries are zero, duplicates are format errors, and the declared
@@ -186,8 +187,7 @@ def load_table_file(path, order):
         if (m, n) in entries:
             raise FormatError(f"duplicate entry for ({m}, {n})")
         entries[(m, n)] = _parse_scalar(row["v"])
-    box = {k: v for k, v in entries.items() if k[0] <= order and k[1] <= order}
-    return CoeffTable(order, box, "rational")
+    return CoeffTable(order, {k: v for k, v in entries.items() if sum(k) <= order}, "rational")
 
 
 @contextmanager

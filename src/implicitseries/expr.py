@@ -379,11 +379,6 @@ def table_from_expr(src, order) -> CoeffTable:
     """
     node = parse(src) if isinstance(src, str) else src
 
-    def table_at(n):
-        # the series' coefficients are canonical and lie in the triangle
-        rows = eval_series(node, n).coeffs
-        return CoeffTable._raw(n, {(i, j): c for i, row in enumerate(rows)
-                                   for j, c in enumerate(row) if c})
-
-    ensure_valid(table_at(1))
-    return table_at(order)
+    # the series' coefficients are canonical
+    ensure_valid(CoeffTable._raw(eval_series(node, 1)))
+    return CoeffTable._raw(eval_series(node, order))

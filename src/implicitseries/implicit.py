@@ -65,25 +65,24 @@ class InvariantError(RuntimeError):
 
 
 class CoeffTable:
-    """Taylor coefficients of the implicit equation on a square index box.
-
-    Entries live at 0 <= m, n <= order; absent means zero.  An expansion
-    to order N reads only the entries with m + n <= N (see BivariateEGF),
-    so the tables built here hold no more; a square table, such as an
-    --input file, keeps its entries past that triangle unread.  The mode is
-    'rational' (exact scalar entries: int when integral, else Fraction) or
-    'symbolic' (Laurent polynomial entries).  Instances are immutable;
-    derived series, powers and Bell values are memoized on the table.
+    """Taylor coefficients f(m, n) of the implicit equation over the
+    triangle m + n <= order, all an expansion to that order reads (see
+    BivariateEGF): one BivariateEGF of the table's order.  Indices may run
+    over the square 0 <= m, n <= order, whose entries past the triangle
+    are dropped; absent means zero.  The mode is 'rational' (exact scalar
+    entries: int when integral, else Fraction) or 'symbolic' (Laurent
+    polynomial entries).  Instances are immutable; derived series, powers
+    and Bell values are memoized on the table.
     """
 
-    __slots__ = ("order", "mode", "_entries", "_cache")
+    __slots__ = ("mode", "_series", "_cache")
 
     def __init__(self, order, entries, mode="rational"):
         if order < 1:
             raise TableError("table order must be at least 1")
         if mode not in ("rational", "symbolic"):
             raise TableError(f"unknown mode: {mode!r}")
-        box = {}
+        rows = [[_ZERO] * (order + 1 - m) for m in range(order + 1)]
         for (m, n), v in entries.items():
             if not (0 <= m <= order and 0 <= n <= order):
                 raise TableError(f"entry index out of range: ({m}, {n})")
@@ -93,24 +92,27 @@ class CoeffTable:
                 v = as_coefficient(v)
             elif not isinstance(v, LaurentPoly):
                 v = LaurentPoly.const(v)
-            if v:
-                box[(m, n)] = v
-        self._fill(order, mode, box)
+            if v and m + n <= order:
+                rows[m][n] = v
+        self._fill(mode, BivariateEGF._raw(rows))
 
-    def _fill(self, order, mode, entries):
-        self.order = order
+    def _fill(self, mode, series):
         self.mode = mode
-        self._entries = entries
+        self._series = series
         # the Bell values of y_coeff_direct and the _inverse_coeff_series memo
         self._cache = {"bell": {}, "inverse": ([], {})}
 
     @classmethod
-    def _raw(cls, order, entries):
-        # Trusted constructor of a rational table: entries must be a dict of
-        # nonzero canonical scalars, at indices inside the box already.
+    def _raw(cls, series):
+        # Trusted constructor of a rational table: series must be a
+        # BivariateEGF of canonical scalars, of order at least 1.
         t = cls.__new__(cls)
-        t._fill(order, "rational", entries)
+        t._fill("rational", series)
         return t
+
+    @property
+    def order(self):
+        return self._series.order
 
     @classmethod
     def rational(cls, order, entries):
@@ -129,16 +131,17 @@ class CoeffTable:
         return cls(order, entries, "symbolic")
 
     def entry(self, m, n):
-        if not (0 <= m <= self.order and 0 <= n <= self.order):
-            raise TableError(f"entry index out of range: ({m}, {n})")
-        return self._entries.get((m, n), _ZERO)
+        if not (0 <= m and 0 <= n and m + n <= self.order):
+            raise TableError(f"entry index outside the triangle: ({m}, {n})")
+        return self._series.coeffs[m][n]
 
     def entries(self):
-        """The nonzero entries as a dict copy."""
-        return dict(self._entries)
+        """The nonzero entries as a dict."""
+        return {(m, n): c for m, row in enumerate(self._series.coeffs)
+                for n, c in enumerate(row) if c}
 
     def __repr__(self):
-        return f"CoeffTable(order={self.order}, mode={self.mode!r}, nonzero={len(self._entries)})"
+        return f"CoeffTable(order={self.order}, mode={self.mode!r}, nonzero={len(self.entries())})"
 
 
 def builtin_table(name, order):
@@ -156,7 +159,6 @@ def builtin_table(name, order):
         entries.update({(0, n): n for n in range(1, order + 1)})
     else:
         raise TableError(f"unknown builtin: {name!r}")
-    entries = {k: v for k, v in entries.items() if k[0] <= order and k[1] <= order}
     return CoeffTable(order, entries, "rational")
 
 
@@ -184,12 +186,14 @@ def ensure_valid(table):
 
 
 def column_series(table, n, order=None):
-    """Column n of the table as the series sum_m f(m, n) x^m / m!."""
+    """Column n of the table as the series sum_m f(m, n) x^m / m!, through
+    x^order, at most (and by default) N - n, N the table order."""
+    top = table.order - n
     if order is None:
-        order = table.order
-    if not (0 <= n <= table.order and 0 <= order <= table.order):
+        order = top
+    if not (0 <= n <= table.order and 0 <= order <= top):
         raise TableError("column or order outside the table")
-    return TaylorEGF([table.entry(m, n) for m in range(order + 1)])
+    return TaylorEGF._raw([row[n] for row in table._series.coeffs[:order + 1]])
 
 
 def as_bivariate(table, order=None):
@@ -199,9 +203,8 @@ def as_bivariate(table, order=None):
         order = table.order
     if not 0 <= order <= table.order:
         raise TableError(f"requested order {order} is outside 0..{table.order}")
-    # the entries are canonical and nonzero already
-    return BivariateEGF._triangle(
-        order, {(m, n): c for (m, n), c in table._entries.items() if m + n <= order})
+    return BivariateEGF._raw(row[:order + 1 - m]
+                             for m, row in enumerate(table._series.coeffs[:order + 1]))
 
 
 def _column_power(table, powers, n, exponent, order):
@@ -209,10 +212,10 @@ def _column_power(table, powers, n, exponent, order):
     x^order.
 
     powers is the dict of column powers (and of _lagrange_g's column
-    ratios) shared by the g_j of the table's _inverse_coeff_series memo,
-    or held by one g_k built alone.  A power is built the first time it is
-    asked for, at that order, and stored; the orders asked of it
-    afterwards only fall, so the stored series is always long enough."""
+    ratios) shared by the g_j of the table's _inverse_coeff_series memo.
+    A power is built the first time it is asked for, at that order, and
+    stored; the orders asked of it afterwards only fall, so the stored
+    series is always long enough."""
     val = powers.get((n, exponent))
     if val is None:
         if exponent == 1:
@@ -231,20 +234,15 @@ def inverse_taylor_coeff(table, k, l):
     """Taylor coefficient a(k, l): the l-th x-coefficient of the k-th
     EGF coefficient of the inverse relation x(y) attached to the table.
 
-    Read off g_k of _inverse_coeff_series, which direct and compose share,
-    when l <= N - k, N the table order; otherwise off g_k built alone
-    through x^l, with powers of its own, and kept nowhere.  Past l = N - k
-    it reads entries with m + n > N, which `CoeffTable.symbolic` and
-    `table_from_expr` leave zero.
+    Read off g_k of _inverse_coeff_series, which direct and compose share
+    and which is exact through x^(N - k), N the table order; so k + l <= N.
     """
     if k < 1:
         raise TableError("k must be at least 1")
-    if l < 0 or l > table.order or k > table.order:
-        raise TableError("index outside the table order")
+    if l < 0 or k + l > table.order:
+        raise TableError("index outside the triangle k + l <= the table order")
     ensure_valid(table)
-    if k + l <= table.order:
-        return _inverse_coeff_series(table, k).coeffs[l]
-    return _build_g(table, {}, k, l).coeffs[l]
+    return _inverse_coeff_series(table, k).coeffs[l]
 
 
 def y_coeff_direct(table, m):
@@ -532,15 +530,14 @@ def expand_newton(table, order=None):
     order = _expansion_order(table, order)
     f01 = table.entry(0, 1)
     p = 1 if table.mode == "symbolic" else f01.numerator
+    f = as_bivariate(table, order)
     if p == 1:
-        f = as_bivariate(table, order)
         inv = invert_scalar(f01)
     else:
         scale = [p ** e for e in range(2 * order + 1)]
-        f = BivariateEGF._triangle(order, {
-            (k, n): c * scale[2 * k + n] if type(c) is int
-            else div_int(c.numerator * scale[2 * k + n], c.denominator)
-            for (k, n), c in table._entries.items() if k + n <= order})
+        f = BivariateEGF._raw([c * scale[2 * k + n] if type(c) is int
+                               else div_int(c.numerator * scale[2 * k + n], c.denominator)
+                               for n, c in enumerate(row)] for k, row in enumerate(f.coeffs))
         inv = invert_scalar(f01 * p)  # q / p^2, one over the scaled f(0,1)
     rows = f.coeffs
     ints = all(type(c) is int for row in rows for c in row)

@@ -245,6 +245,28 @@ def test_input_file(tmp_path, capsys):
     assert json.loads(out)["y"] == ["1", "2", "6", "24"]
 
 
+def test_input_file_entries_past_the_triangle_change_no_output(tmp_path, capsys):
+    # an expansion to order N reads only the slots with m + n <= N, so a
+    # square table whose entries past them are all nonzero prints the bytes
+    # of the same table cut to the triangle
+    order = 6
+
+    def value(m, n):
+        if (m, n) == (0, 1):
+            return 1
+        return m + n if m + n > order else (7 * m + 3 * n) % 5 - 2
+
+    square = [{"m": m, "n": n, "v": str(value(m, n))}
+              for m in range(order + 1) for n in range(order + 1) if (m, n) != (0, 0)]
+    outs = []
+    for entries in (square, [e for e in square if e["m"] + e["n"] <= order]):
+        path = _write_table(tmp_path, {"max_m": order, "max_n": order, "entries": entries})
+        code, out, _ = run(capsys, "--input", path, "-N", str(order), "--method", "all")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_input_file_accepts_ints_and_fractions(tmp_path, capsys):
     body = {
         "max_m": 2, "max_n": 2,

@@ -88,15 +88,21 @@ def test_ensure_valid_raises():
 
 
 def test_table_entry_access_and_errors():
-    t = CoeffTable(3, {(0, 1): Fraction(1, 2)})
+    # the square 0 <= m, n <= order is accepted, and what lies past the
+    # triangle m + n <= order is dropped: no expansion reads it
+    t = CoeffTable(3, {(0, 1): Fraction(1, 2), (2, 2): 5, (3, 3): 1})
     assert t.entry(0, 1) == Fraction(1, 2)
-    assert t.entry(3, 3) == 0
-    with pytest.raises(TableError):
-        t.entry(4, 0)
+    assert t.entry(3, 0) == t.entry(1, 2) == 0
+    assert t.entries() == {(0, 1): Fraction(1, 2)}
+    for m, n in ((4, 0), (2, 2), (3, 3), (-1, 1)):
+        with pytest.raises(TableError):
+            t.entry(m, n)
     with pytest.raises(TableError):
         CoeffTable(0, {})
     with pytest.raises(TableError):
         CoeffTable(2, {(5, 0): 1})
+    with pytest.raises(TableError):
+        CoeffTable(2, {(2, 2): fsym(0, 1)}, "rational")
     with pytest.raises(TableError):
         CoeffTable(2, {(0, 1): fsym(0, 1)}, "rational")
     with pytest.raises(TableError):
@@ -105,12 +111,13 @@ def test_table_entry_access_and_errors():
 
 def test_symbolic_table_shape():
     # one symbol per slot of the triangle m + n <= 3 but (0, 0), which is
-    # all an expansion to order 3 reads; the rest of the square is zero
+    # all an expansion to order 3 reads and all the table holds
     t = CoeffTable.symbolic(3)
     assert t.mode == "symbolic"
     assert t.entry(0, 0) == 0
     assert t.entry(1, 2) == fsym(1, 2)
-    assert t.entry(2, 3) == 0
+    with pytest.raises(TableError):
+        t.entry(2, 3)
     assert t.entries() == {(m, n): fsym(m, n) for m in range(4) for n in range(4 - m)
                            if (m, n) != (0, 0)}
     assert len(CoeffTable.symbolic(15).entries()) == 135
@@ -131,12 +138,15 @@ def test_column_series_and_bivariate_view():
     t = builtin_table("lambert", 3)
     col0 = column_series(t, 0)
     assert list(col0.coeffs) == [0, -1, 0, 0]
-    col1 = column_series(t, 1, order=2)
+    # column n runs through x^(N-n), its part of the triangle
+    col1 = column_series(t, 1)
     assert list(col1.coeffs) == [1, 0, 0]
+    assert column_series(t, 1, order=1).coeffs == (1, 0)
     f = as_bivariate(t, 2)
     assert f.coeffs == ((0, 1, 2), (-1, 0), (0,))
-    with pytest.raises(TableError):
-        column_series(t, 4)
+    for n, order in ((4, None), (1, 3), (3, 1)):
+        with pytest.raises(TableError):
+            column_series(t, n, order)
 
 
 # -- the inverse-relation coefficients --------------------------------------
@@ -174,7 +184,7 @@ def test_inverse_taylor_coeff_matches_composition_reference():
     for _ in range(8):
         t = _random_table(rng, 5)
         for k in range(1, 6):
-            for l in range(0, 6):
+            for l in range(0, 6 - k):
                 want = _inverse_coeff_by_compositions(t, k, l)
                 assert inverse_taylor_coeff(t, k, l) == want, (k, l)
 
@@ -182,19 +192,18 @@ def test_inverse_taylor_coeff_matches_composition_reference():
 def test_inverse_taylor_coeff_symbolic_matches_composition_reference():
     t = CoeffTable.symbolic(5)
     for k in range(1, 6):
-        for l in range(0, 6):
+        for l in range(0, 6 - k):
             want = _inverse_coeff_by_compositions(t, k, l)
             assert inverse_taylor_coeff(t, k, l) == want, (k, l)
 
 
 def test_inverse_taylor_coeff_bounds():
+    # a(k, l) exists for k + l <= N: g_k is exact through x^(N-k)
     t = CoeffTable.symbolic(3)
-    with pytest.raises(TableError):
-        inverse_taylor_coeff(t, 0, 1)
-    with pytest.raises(TableError):
-        inverse_taylor_coeff(t, 1, 4)
-    with pytest.raises(TableError):
-        inverse_taylor_coeff(t, 4, 0)
+    assert inverse_taylor_coeff(t, 1, 2) and inverse_taylor_coeff(t, 3, 0)
+    for k, l in ((0, 1), (1, -1), (1, 3), (2, 2), (3, 1), (4, 0)):
+        with pytest.raises(TableError):
+            inverse_taylor_coeff(t, k, l)
 
 
 # -- the expansion itself ----------------------------------------------------
@@ -360,11 +369,10 @@ def _series_orders(table):
 
 
 def test_inverse_taylor_coeff_is_exact_in_any_call_order():
-    # a(k, l) above l = N - k reads g_k built alone and kept nowhere, so no
-    # call order changes what another call reads, and the one memo holds
-    # each g_k it builds through x^(N-k)
+    # every a(k, l) reads the one memo, which holds each g_k it builds
+    # through x^(N-k), so no call order changes what another call reads
     order = 6
-    calls = [(6, 0), (5, 0), (6, 3), (5, 4)] + [(k, order) for k in (1, 2, 3)]
+    calls = [(6, 0), (5, 0), (3, 3), (5, 1)] + [(k, order - k) for k in (1, 2, 4)]
     fresh = {(k, l): inverse_taylor_coeff(CoeffTable.symbolic(order), k, l)
              for k, l in calls}
     for seq in (calls, calls[::-1], sorted(calls, key=lambda c: (c[1], -c[0]))):
@@ -377,18 +385,19 @@ def test_inverse_taylor_coeff_is_exact_in_any_call_order():
 
 
 def test_each_g_k_is_exact_through_n_minus_k():
-    # the memo holds g_k through x^(N-k); a(k, N) builds g_k alone, adds
-    # nothing to the memo, and reads what the memo of the same table padded
-    # with zeros to order N + k reads
+    # the memo holds g_k through x^(N-k), and no entry past the triangle
+    # moves what it holds: the generic table of order N + 2, whose symbols
+    # fill a larger triangle, holds the same g_k through x^(N-k)
     order = 6
     t = CoeffTable.symbolic(order)
     direct = expand_direct(t).y
     assert _series_orders(t) == [order - k for k in range(1, order + 1)]
     held = list(t._cache["inverse"][0])
+    larger = CoeffTable.symbolic(order + 2)
     for k in range(1, order + 1):
-        padded = CoeffTable(order + k, t.entries(), "symbolic")
-        assert inverse_taylor_coeff(t, k, order) == inverse_taylor_coeff(padded, k, order)
-        assert _series_orders(padded) == [order + k - j for j in range(1, k + 1)]
+        assert [inverse_taylor_coeff(larger, k, l) for l in range(order - k + 1)] == list(
+            held[k - 1].coeffs)
+    assert _series_orders(larger) == [order + 2 - k for k in range(1, order + 1)]
     assert t._cache["inverse"][0] == held
     assert expand_compose(t).y == direct
 
@@ -429,7 +438,7 @@ def test_the_inverse_memo_stays_bounded_and_replaces_nothing(table):
 
     def public(t):
         for k in range(1, order + 1):
-            for l in range(order + 1):
+            for l in range(order - k + 1):
                 inverse_taylor_coeff(t, k, l)
 
     for steps in ((direct, compose, public), (compose, public, direct),
@@ -501,11 +510,13 @@ def _lagrange_tables(draw):
 @given(_lagrange_tables(), st.integers(0, 3))
 def test_lagrange_g_matches_the_partition_sum(t, extra):
     # every g_j, built in turn with falling orders as _inverse_coeff_series
-    # builds them (extra = 0), and through up to extra more powers of x
-    top = t.order + extra
+    # builds them (extra = 0), and through up to extra more powers of x, on
+    # the table padded with zeros to order N + extra
+    size = t.order
+    t = CoeffTable(size + extra, t.entries())
     lagrange, partition = {}, {}
-    for j in range(1, t.order + 1):
-        order = min(top - j, t.order)
+    for j in range(1, size + 1):
+        order = t.order - j
         got = implicit._lagrange_g(t, lagrange, j, order)
         want = implicit._partition_g(t, partition, j, order)
         _assert_same_canonical(list(got.coeffs), list(want.coeffs))
@@ -884,25 +895,27 @@ def test_methods_agree_on_random_rational_tables(case):
 
 @st.composite
 def _tables_past_the_triangle(draw):
-    """(T, Z) for a random rational table of order N <= 8: in T every entry
-    with m + n > N is a random nonzero rational, in Z it is zero, and the
-    entries with m + n <= N are the same in both."""
+    """(T, Z) for a random rational table Z of order N <= 8 and T of order
+    N + E, 1 <= E <= 3: in T every entry with N < m + n <= N + E is a
+    random nonzero rational, and the entries with m + n <= N are Z's."""
     size = draw(st.integers(1, 8))
+    top = size + draw(st.integers(1, 3))
     inside = {(m, n): draw(_sparse_rationals)
               for m in range(size + 1) for n in range(size + 1 - m) if (m, n) != (0, 0)}
     inside[(0, 1)] = draw(_small_rationals.filter(bool))
     outside = {(m, n): draw(_small_rationals.filter(bool))
-               for m in range(size + 1) for n in range(size + 1 - m, size + 1)}
-    return (CoeffTable(size, inside | outside, "rational"),
+               for m in range(top + 1) for n in range(max(0, size + 1 - m), top + 1 - m)}
+    return (CoeffTable(top, inside | outside, "rational"),
             CoeffTable(size, inside, "rational"))
 
 
-def _assert_the_triangle_decides(full, triangle):
+def _assert_the_triangle_decides(larger, triangle):
     # Sokal's form of the series: a monomial prod f(m, n)^r of y_N has
     # sum m r = N and sum n r = k - 1, k = sum r, so sum (m + n) r =
-    # N + k - 1 and each of its slots has m + n <= N
+    # N + k - 1 and each of its slots has m + n <= N.  The larger table's
+    # g_k run further in x and read its entries past the triangle
     for method in ("direct", "compose", "newton"):
-        _assert_same_canonical(expand(full, full.order, method).y,
+        _assert_same_canonical(expand(larger, triangle.order, method).y,
                                expand(triangle, triangle.order, method).y)
 
 
@@ -912,13 +925,11 @@ def test_entries_past_the_triangle_change_no_coefficient(case):
     _assert_the_triangle_decides(*case)
 
 
-def test_the_symbolic_triangle_expands_as_the_square_symbolic_table():
+def test_the_symbolic_triangle_expands_as_a_larger_symbolic_table():
     order = 6
-    square = CoeffTable(order, {(m, n): fsym(m, n) for m in range(order + 1)
-                                for n in range(order + 1) if (m, n) != (0, 0)}, "symbolic")
     triangle = CoeffTable.symbolic(order)
     assert len(triangle.entries()) == (order + 1) * (order + 2) // 2 - 1
-    _assert_the_triangle_decides(square, triangle)
+    _assert_the_triangle_decides(CoeffTable.symbolic(order + 2), triangle)
 
 
 _leaves = st.one_of(st.just("x"), st.just("y"), _small_rationals.map(lambda c: f"({c})"))
@@ -1171,10 +1182,11 @@ def test_distinct_tables_leave_no_growing_module_cache():
 def test_distinct_tables_retain_no_memory():
     # what the module scan above cannot see, such as a class attribute or a
     # memo on a shared object: after a warm-up batch, distinct tables through
-    # every method leave no allocation behind.  The growth is read over the
-    # second of two traced batches, as what the interpreter keeps once (a
-    # freelist or an internal cache filled under tracing) lands in the first
-    # and what each table leaves behind lands in both
+    # every method leave no allocation behind.  The growth is read over each
+    # traced batch after the first, and the least of them is asserted on: what
+    # the interpreter keeps once (a freelist or an internal cache filled under
+    # tracing, which under CPython 3.10 keeps settling for several batches)
+    # lands in some batches, and what each table leaves behind in every one
     rng = random.Random(505)
 
     def batch(count):
@@ -1188,16 +1200,16 @@ def test_distinct_tables_retain_no_memory():
     tracemalloc.start()
     try:
         traced = []
-        for _ in range(2):
+        for _ in range(9):
             batch(20)
             gc.collect()
             traced.append(tracemalloc.get_traced_memory()[0])
     finally:
         tracemalloc.stop()
-    # less than one small object per table.  Under CPython 3.11 the second
-    # batch reads 64 bytes, as it does with no tables at all: the first
-    # reading's own objects
-    assert traced[1] - traced[0] < 20 * 32
+    # less than one small object per table.  Under CPython 3.11 to 3.13 the
+    # batches read 0 to 64 bytes, as they do with no tables at all: the
+    # readings' own objects; under 3.10, 28 to about 2,300
+    assert min(b - a for a, b in zip(traced, traced[1:])) < 20 * 32
 
 
 @pytest.mark.parametrize("method", ["direct", "compose", "newton"])

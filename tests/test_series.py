@@ -518,8 +518,8 @@ def test_exact_rational_sums_make_no_fraction_arithmetic(monkeypatch):
     assert got == want[2] and calls == ["__new__"]
     # so do the Miller steps of a rational g_j.  Column 1's reciprocal is
     # built first: it runs the recurrence of _ode_rows on Fractions
-    table = CoeffTable(6, {(m, n): number() for m in range(7) for n in range(7)
-                           if (m, n) != (0, 0)} | {(0, 1): Fraction(3, 7)}, "rational")
+    table = CoeffTable(11, {(m, n): number() for m in range(7) for n in range(7)
+                            if (m, n) != (0, 0)} | {(0, 1): Fraction(3, 7)}, "rational")
     want = implicit._partition_g(table, {}, 5, 6)
     powers = {}
     implicit._column_power(table, powers, 1, -1, 6)
@@ -556,7 +556,7 @@ def test_every_exact_product_sums_through_the_one_kernel(monkeypatch):
     assert [list(row) for row in (box_a * box_b).coeffs] == _box_mul_oracle(
         box_a.coeffs, box_b.coeffs)
     assert calls == [("implicitseries.series", 4 - m) for m in range(5)]
-    table = CoeffTable(5, {(m, n): Fraction(m + 2 * n + 1, n + 2) for m in range(6)
+    table = CoeffTable(9, {(m, n): Fraction(m + 2 * n + 1, n + 2) for m in range(6)
                            for n in range(6) if (m, n) != (0, 0)}, "rational")
     want = implicit._partition_g(table, {}, 4, 5)
     calls.clear()
