@@ -41,7 +41,9 @@ PUBLISHED_CENSUS_15 = 91159
 # --method all: on the dense log(1+x+y)*exp(x*y)+y table 2.4 s at N=60
 # and 9.7 s at N=80, nearly all of it the inverse-relation series of
 # direct, growing about 2x per 10 orders (22 s for them at N=90); on the
-# Lambert table 0.3 s at N=60 and 0.5 s at N=80.  Growing denominators
+# Lambert table 0.15-0.23 s at N=60 and 0.25-0.30 s at N=80 (0.24-0.31 s
+# and 0.42-0.51 s when each Miller step of g_k asked for every x-degree
+# through its order).  Growing denominators
 # cost more: (3+x-y)^-3-1/27+y at N=80 takes 0.07 s to build (14 s when
 # the power squared a reciprocal box) and 12-22 s for compose.  Rational
 # newton at N=150 takes 1.3-1.9 s and 23 MB on the dense table, whose

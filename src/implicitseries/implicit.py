@@ -32,6 +32,7 @@ from __future__ import annotations
 import time
 from itertools import repeat
 from math import comb, gcd, lcm
+from operator import add
 
 from .algebra import (
     LaurentPoly,
@@ -46,8 +47,8 @@ from .combinatorics import (
     bell_eval,
     inverse_partition_terms,
 )
-from .series import (BivariateEGF, TaylorEGF, _convolve, _over_one_denominator, _pascal,
-                     _series_dot, _sums)
+from .series import (BivariateEGF, TaylorEGF, _binomials, _convolve, _over_one_denominator,
+                     _pascal, _series_dot, _sums)
 
 _ZERO = 0
 
@@ -392,7 +393,16 @@ def _lagrange_g(table, powers, j, order):
     denominator, so the sums run on ints through `_convolve` and make no
     Fraction; b_i keeps only its nonzero (l, coefficient) pairs, in powers
     under ("ratio", i), built at the first (longest) order asked, as the
-    powers are."""
+    powers are.
+
+    A step stops at the x-degree its operands reach: the least of the
+    order and the largest last(b_i) + reach(q_(n-i)), last the index of
+    b_i's last pair and reach that of q_m's last nonzero coefficient, read
+    at or below its own bound; its row is then padded with zeros to the
+    order.  On Lambert every b_i and q_n is a constant, so each of the 780
+    steps of g_1..g_40 asks for one coefficient, where asking for every
+    degree through the order made 10,660; a dense table reaches the order
+    at every step and asks for as many as before."""
     b = []
     for i in range(1, j):
         ratio = powers.get(("ratio", i))
@@ -401,17 +411,36 @@ def _lagrange_g(table, powers, j, order):
             d, (row,) = _over_one_denominator(((col / (i + 1)).coeffs,))
             ratio = powers[("ratio", i)] = (d, [(l, c) for l, c in enumerate(row) if c])
         b.append(ratio)
+    # the index of each b_i's last nonzero coefficient, for a zero b_i one
+    # so low that no reach lifts the sum to 0, and the reach of each q_n;
+    # a step whose bound is below 0 has no live term and makes a zero row
+    last = [pairs[-1][0] if pairs else -2 - order for _, pairs in b]
     d, (row,) = _over_one_denominator((_column_power(table, powers, 1, -j, order).coeffs,))
-    q = [(d, row)]
+    q, reach = [(d, row)], [_last_nonzero(row, order)]
     for n in range(1, j):
-        terms = [(((1 - j) * i - n) * comb(n, i), b[i - 1], q[n - i])
+        cn = _binomials(n)
+        terms = [(((1 - j) * i - n) * cn[i], b[i - 1], q[n - i])
                  for i in range(1, n + 1) if b[i - 1][1]]
+        stop = min(order, max(map(add, last, reversed(reach))))
         den = lcm(*[e * d for _, (e, _), (d, _) in terms])
-        row = _convolve([(w * (den // (e * d)), bi, qi) for w, (e, bi), (d, qi) in terms], order)
-        g = gcd(n * den, *row)
-        q.append((n * den // g, [c // g for c in row]))
+        # the kernel's output stays bound while its reduction is built:
+        # freeing it first made the dense steps about 2% slower
+        out = _convolve([(w * (den // (e * d)), bi, qi) for w, (e, bi), (d, qi) in terms],
+                        stop) if stop >= 0 else []
+        g = gcd(n * den, *out)
+        row = [c // g for c in out]
+        reach.append(_last_nonzero(row, stop))
+        row += [0] * (order + 1 - len(row))
+        q.append((n * den // g, row))
     d, row = q[j - 1]
     return TaylorEGF._raw([div_int(c, d) for c in row])
+
+
+def _last_nonzero(row, top):
+    """The last index at or below top of a nonzero entry of row, or -1."""
+    while top >= 0 and not row[top]:
+        top -= 1
+    return top
 
 
 def _build_g(table, powers, j, order):

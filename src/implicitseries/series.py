@@ -202,16 +202,21 @@ def _ode_rows(f, g0, a, divide=None, s=None):
     tested for zero once, as it is made, as the test of a series in y reads
     every coefficient."""
     g, live_g = [g0], [bool(g0)]
-    # the j >= 1 of the nonzero F_j, of which row m + 1 reads the first k
-    nz, k = [j for j in range(1, len(f)) if f[j]], 0
+    # the j >= 1 of the nonzero F_j up to row m + 1, and rows m, m + 1 of
+    # Pascal's triangle: a C(m, j-1) - C(m, j) = (a+1) C(m, j-1) - C(m+1, j)
+    nz, cm1, a1 = [], _binomials(0), a + 1
     for m in range(len(f) - 1):
-        cm = _binomials(m) + (0,)
-        k += k < len(nz) and nz[k] == m + 1
+        cm, cm1 = cm1, _binomials(m + 1)
+        if f[m + 1]:
+            nz.append(m + 1)
         # a weight is made only for a live term, and its sign rides on the
         # int, so no polynomial is negated
-        row = _add_products(s[m + 1] if s else _zero_like(f[m + 1]), [
-            (w, f[j], g[m + 1 - j]) for j in nz[:k]
-            if live_g[m + 1 - j] and (w := a * cm[j - 1] - cm[j] if divide else cm[j - 1])])
+        if divide:
+            terms = [(w, f[j], g[m + 1 - j]) for j in nz
+                     if live_g[m + 1 - j] and (w := a1 * cm[j - 1] - cm1[j])]
+        else:
+            terms = [(cm[j - 1], f[j], g[m + 1 - j]) for j in nz if live_g[m + 1 - j]]
+        row = _add_products(s[m + 1] if s else _zero_like(f[m + 1]), terms)
         g.append(divide(row) if divide else row)
         live_g.append(bool(g[-1]))
     return g

@@ -491,12 +491,14 @@ _column_kinds = st.sampled_from(["zero", "constant", "polynomial", "dense"])
 @st.composite
 def _lagrange_tables(draw):
     """Rational tables whose columns are zero, constant, polynomials of low
-    degree or dense in x; column 1 starts with a unit such as 2 or 1/3 and
-    need not be constant."""
-    size = draw(st.integers(1, 6))
+    degree or dense in x; column 1 starts with a unit such as 2 or 1/3, and
+    is that unit alone in about a third of the draws, so that the Miller
+    steps of g_j stop short of its order."""
+    size = draw(st.integers(1, 8))
+    unit_column_1 = draw(st.sampled_from([True, False, False]))
     entries = {(m, 0): draw(_small_rationals) for m in range(1, size + 1)}
     for n in range(1, size + 1):
-        kind = draw(_column_kinds)
+        kind = "constant" if n == 1 and unit_column_1 else draw(_column_kinds)
         top = {"zero": -1, "constant": 0, "dense": size}.get(kind)
         if top is None:
             top = draw(st.integers(1, max(1, size // 2)))
@@ -520,6 +522,55 @@ def test_lagrange_g_matches_the_partition_sum(t, extra):
         got = implicit._lagrange_g(t, lagrange, j, order)
         want = implicit._partition_g(t, partition, j, order)
         _assert_same_canonical(list(got.coeffs), list(want.coeffs))
+
+
+def _recording_kernel(monkeypatch):
+    """The (order, output) of every `_convolve` call that implicit makes
+    from here on, in order."""
+    calls = []
+    kernel = implicit._convolve
+
+    def recording(terms, order):
+        out = kernel(terms, order)
+        calls.append((order, out))
+        return out
+
+    monkeypatch.setattr(implicit, "_convolve", recording)
+    return calls
+
+
+def test_a_miller_step_whose_top_coefficient_cancels_reaches_below_its_bound(monkeypatch):
+    # f = x + y - y^2/2! - y^3/3! - y^4/4! + x^2 y^3 / (2! 3!): column 1 is
+    # the constant 1, and two steps of g_4 sum to 0 at x^1, their bound, so
+    # their reach falls to x^0.  Every g_k must still be the partition sum's
+    entries = {(1, 0): 1, (0, 1): 1, (0, 2): -1, (0, 3): -1, (0, 4): -1, (2, 3): 1}
+    t = CoeffTable(5, entries, "rational")
+    calls = _recording_kernel(monkeypatch)
+    lagrange, partition = {}, {}
+    for j in range(1, t.order + 1):
+        got = implicit._lagrange_g(t, lagrange, j, t.order - j)
+        want = implicit._partition_g(t, partition, j, t.order - j)
+        _assert_same_canonical(list(got.coeffs), list(want.coeffs))
+    cancelled = [(order, out) for order, out in calls if any(out) and not out[-1]]
+    assert cancelled
+    assert all(max(l for l, c in enumerate(out) if c) < order for order, out in cancelled)
+
+
+def test_the_miller_steps_ask_only_for_coefficients_their_operands_reach(monkeypatch):
+    # a host-independent count of the work, the output coefficients the
+    # kernel is asked for while every g_k is built: on Lambert every b_i
+    # and q_n is a constant, so each of the 780 steps of g_1..g_40 asks
+    # for one, where asking each for all N - j + 1 made 10,660; a dense
+    # table reaches x^order at every step and asks for as many as before
+    calls = _recording_kernel(monkeypatch)
+
+    def asked(table):
+        calls.clear()
+        implicit._inverse_coeff_series(table, table.order)
+        return sum(order + 1 for order, _ in calls)
+
+    assert asked(builtin_table("lambert", 40)) <= 1560
+    assert asked(table_from_expr("log(1+x+y)*exp(x*y)+y", 12)) == 286
 
 
 def _flat_partition_g(table, j, order):
@@ -1199,17 +1250,22 @@ def test_distinct_tables_retain_no_memory():
     gc.collect()
     tracemalloc.start()
     try:
-        traced = []
+        traced, blocks = [], []
         for _ in range(9):
             batch(20)
             gc.collect()
             traced.append(tracemalloc.get_traced_memory()[0])
+            blocks.append(sys.getallocatedblocks())
     finally:
         tracemalloc.stop()
     # less than one small object per table.  Under CPython 3.11 to 3.13 the
     # batches read 0 to 64 bytes, as they do with no tables at all: the
     # readings' own objects; under 3.10, 28 to about 2,300
     assert min(b - a for a, b in zip(traced, traced[1:])) < 20 * 32
+    # the bytes let a bare object() per table (16 B) slip under the bound;
+    # the count of allocated blocks does not: its least growth reads 0 to 6
+    # under CPython 3.10 to 3.13, and 21 with one object kept per table
+    assert min(b - a for a, b in zip(blocks, blocks[1:])) < 20
 
 
 @pytest.mark.parametrize("method", ["direct", "compose", "newton"])
