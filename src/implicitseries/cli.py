@@ -3,8 +3,21 @@
 Reads a coefficient table (JSON file, expression text, or named builtin),
 expands y(x) by the requested method(s), and writes one JSON document.
 Exit status: 0 success, 1 malformed input, 2 not expandable, 3 the methods
-disagree, 4 an internal invariant failed.  All numeric I/O is exact
-strings; nothing here ever goes through floating point.
+disagree, 4 an internal invariant failed, newton's worker (below) ending
+without a result included.  All numeric I/O is exact strings; nothing
+here ever goes through floating point.
+
+--method all on a symbolic table runs newton in a forked worker process
+while this one runs direct and compose and writes the document into an
+anonymous staging file; the document goes to --out or stdout only after
+the three results agree, so a failed run publishes nothing.  Newton
+shares no work with the other two, and on the generic table it is the
+longest of the three.  The CPU time is then spent in two processes: at
+N=10 a run took 0.075 s of wall time and 0.123 s of CPU in the two
+together, against 0.102 s and 0.101 s with the methods run one after
+another (medians of twelve fresh processes each, 2-vCPU host).  On
+rational tables, and where os.fork is missing, the methods run one after
+another in this process: there the fork costs more than newton takes.
 """
 
 from __future__ import annotations
@@ -55,9 +68,11 @@ PUBLISHED_CENSUS_15 = 91159
 # built over the triangle m + n <= N, takes 0.6 s of that; over the
 # square it took 2.0-2.6 s, and the run 9.6 s and 37 MB.
 # Symbolic output has about 1.85x more monomials per order: at N=15
-# newton takes 21 s and 0.4 GB, and direct at N=18 already 30 s, 2.4 GB
-# and a 1 GB JSON document.  --method all takes the least ceiling of the
-# three.
+# --method all takes 5.7-6.1 s (three runs) for a 142 MB document, with a
+# peak of 145 MB resident in the process that runs direct and compose and
+# 127 MB in newton's worker (6.8-8.0 s and 206 MB with the three methods
+# run in one process), and direct at N=18 already 30 s, 2.4 GB and a 1 GB
+# JSON document.  --method all takes the least ceiling of the three.
 _ORDER_CEILINGS = {
     ("rational", "direct"): 80,
     ("rational", "compose"): 80,
@@ -356,6 +371,124 @@ def _order_ceiling(mode, method):
     return min(_ORDER_CEILINGS[(mode, m)] for m in methods)
 
 
+class _NewtonWorker:
+    """newton's expansion in a forked worker process.
+
+    The worker sends back its ExpansionResult, or the exception it raised,
+    pickled through a pipe, and ends with os._exit, so that it neither
+    flushes this process's buffered stdout nor returns into the CLI.  Used
+    as a context manager: leaving the block before `result()` has reaped
+    the worker, on any exception, kills and reaps it.  The modules of this
+    path are imported in it, so that importing the CLI loads none of them."""
+
+    def __init__(self, table, order):
+        self.table, self.order = table, order
+
+    def __enter__(self):
+        import os
+        import pickle
+
+        r, w = os.pipe()
+        self._pipe = open(r, "rb")
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            self._pipe.close()
+            os.close(w)
+            raise
+        if self.pid == 0:  # the worker
+            status = 1
+            try:
+                self._pipe.close()
+                try:
+                    outcome = expand(self.table, self.order, "newton")
+                except BaseException as e:
+                    outcome = e
+                with open(w, "wb") as pipe:
+                    pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        return self
+
+    def result(self):
+        """newton's ExpansionResult, or the exception it raised, raised
+        here; an InvariantError if the worker ended without either."""
+        import os
+        import pickle
+
+        data = self._pipe.read()
+        self._pipe.close()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        try:
+            outcome = pickle.loads(data)
+        except Exception:  # an empty or cut-off pickle fails in several ways
+            code = os.waitstatus_to_exitcode(status)
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            raise InvariantError(f"newton's worker ended without a result ({how})") from None
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    def __exit__(self, *exc):
+        if self.pid is not None:
+            import os
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            self._pipe.close()
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _check_agreement(results, order):
+    """Raise MethodMismatchError at the first m where a later result
+    differs from the first; each is checked against the first, and so
+    against each other."""
+    first = results[0]
+    for m in range(order):
+        for other in results[1:]:
+            if other.y[m] != first.y[m]:
+                raise MethodMismatchError(m + 1, first.method, other.method)
+
+
+def _write_document(body, fh):
+    _write_json(body, "\n", fh.write)
+    fh.write("\n")
+
+
+def _expand_all_forked(table, args):
+    """--method all with newton in a forked worker, while this process
+    runs direct and compose and renders the document into an anonymous
+    staging file, which goes to --out or stdout only once the three
+    results agree."""
+    import shutil
+    import tempfile
+
+    order = args.order
+    with _NewtonWorker(table, order) as newton:
+        results = [expand(table, order, m) for m in ("direct", "compose")]
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as staged:
+            _write_document(_payload(results[0], args.mode, args.method,
+                                     args.count_monomials), staged)
+            results.append(newton.result())
+            _check_agreement(results, order)
+            staged.seek(0)
+            with _output(args.out) as fh:
+                shutil.copyfileobj(staged, fh)
+
+
+def _forks_newton(table):
+    """Whether --method all runs newton in a forked worker: on symbolic
+    tables, where newton is the long pole, where fork exists.  On a
+    rational table fork costs more than newton takes."""
+    import os
+
+    return table.mode == "symbolic" and hasattr(os, "fork")
+
+
 def _expand_per_config(args):
     order = args.order
     if args.mode == "symbolic":
@@ -370,21 +503,18 @@ def _expand_per_config(args):
     else:
         table = builtin_table(args.builtin, order)
 
-    if args.method == "all":
-        results = [expand(table, order, m) for m in ("direct", "compose", "newton")]
-        # compose and newton are each checked against direct, and so
-        # against each other
-        result = results[0]
-        for m in range(order):
-            for other in results[1:]:
-                if other.y[m] != result.y[m]:
-                    raise MethodMismatchError(m + 1, result.method, other.method)
-    else:
+    if args.method != "all":
         result = expand(table, order, args.method)
+    elif _forks_newton(table):
+        _expand_all_forked(table, args)
+        return
+    else:
+        results = [expand(table, order, m) for m in ("direct", "compose", "newton")]
+        _check_agreement(results, order)
+        result = results[0]
     body = _payload(result, args.mode, args.method, args.count_monomials)
     with _output(args.out) as fh:
-        _write_json(body, "\n", fh.write)
-        fh.write("\n")
+        _write_document(body, fh)
 
 
 def _run(args):

@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -79,13 +81,16 @@ def test_count_monomials_rational(capsys):
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
-    code, out, _ = run(capsys, "--builtin", "lambert", "-N", "4")
-    path = tmp_path / "r.json"
-    code2, out2, _ = run(capsys, "--builtin", "lambert", "-N", "4",
-                         "--out", str(path))
-    assert code == code2 == 0
-    assert out2 == ""
-    assert path.read_text(encoding="utf-8") == out
+    # the symbolic run publishes the document staged while newton ran in
+    # its worker
+    for args in (("--builtin", "lambert", "-N", "4"),
+                 ("--mode", "symbolic", "-N", "4", "--method", "all")):
+        code, out, _ = run(capsys, *args)
+        path = tmp_path / "r.json"
+        code2, out2, _ = run(capsys, *args, "--out", str(path))
+        assert code == code2 == 0
+        assert out2 == ""
+        assert path.read_text(encoding="utf-8") == out
 
 
 def test_determinism_byte_identical(capsys):
@@ -489,7 +494,7 @@ def test_status_1_usage_errors(capsys):
     assert run(capsys, "--census-15", "-N", "3")[0] == 1           # census is standalone
 
 
-def test_status_3_method_mismatch(capsys, monkeypatch):
+def test_status_3_method_mismatch(capsys, monkeypatch, tmp_path):
     real = cli.expand
 
     def crooked(table, order=None, method="direct"):
@@ -502,6 +507,12 @@ def test_status_3_method_mismatch(capsys, monkeypatch):
     code, _, err = run(capsys, "--builtin", "geometric", "-N", "3")
     assert code == 3
     assert "m=3" in err and "newton" in err
+    # symbolic: the crooked newton runs in the forked worker, or in this
+    # process where os.fork is missing
+    code, out, err, _ = _run_on_both_paths(capsys, monkeypatch, tmp_path,
+                                           "--mode", "symbolic", "-N", "3")
+    assert (code, out) == (3, "")
+    assert err == "error: methods disagree at m=3: direct vs newton\n"
 
 
 def test_a_faulty_substitution_fails_method_all(capsys, monkeypatch):
@@ -537,3 +548,167 @@ def test_exit_statuses_partition_failures(capsys):
     assert run(capsys, "--expr", "x +", "-N", "2")[0] == 1
     assert run(capsys, "--expr", "x + 1", "-N", "2")[0] == 2
     assert run(capsys, "--builtin", "geometric", "-N", "4")[0] == 0
+
+
+# -- symbolic --method all: newton in a forked worker ----------------------------
+#
+# On a symbolic table, --method all runs newton in a forked worker while
+# this process runs direct and compose and stages the document.  Every
+# outcome must match the sequential path, which runs where os.fork is
+# missing, and no run may leave a child process behind.
+
+SYMBOLIC_ALL = ("--mode", "symbolic", "-N", "4", "--method", "all")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _count_forks(monkeypatch):
+    """A list that gains one entry per os.fork in this process."""
+    forks = []
+    real = os.fork
+
+    def counting():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _run_on_both_paths(capsys, monkeypatch, tmp_path, *argv):
+    """{path: (code, stdout, stderr, text of --out or None)} of the run on
+    the worker path and on the sequential one, each once to stdout and
+    once with --out, which must agree; the worker path forks once and
+    leaves no staging file."""
+    staging = tmp_path / "staging"
+    staging.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(staging))
+    outcomes = {}
+    for path in ("worker", "sequential"):
+        with monkeypatch.context() as m:
+            if path == "sequential":
+                m.delattr(os, "fork")
+            else:
+                forks = _count_forks(m)
+            code, out, err = run(capsys, *argv)
+            out_file = tmp_path / f"{path}.json"
+            code2, out2, err2 = run(capsys, *argv, "--out", str(out_file))
+        _assert_no_child_left()
+        assert (code2, out2, err2) == (code, "", err)
+        text = out_file.read_text(encoding="utf-8") if out_file.exists() else None
+        assert text == (out if code == 0 else None)
+        outcomes[path] = (code, out, err, text)
+    assert len(forks) == 2
+    assert list(staging.iterdir()) == []
+    assert outcomes["worker"] == outcomes["sequential"]
+    return outcomes["worker"]
+
+
+def test_symbolic_method_all_prints_the_golden_bytes_on_both_paths(
+        capsys, monkeypatch, tmp_path):
+    args, digest = GOLDEN_OUTPUTS[1]
+    assert args[:2] == ("--mode", "symbolic") and "all" in args
+    code, out, err, _ = _run_on_both_paths(capsys, monkeypatch, tmp_path, *args)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_rational_method_all_never_forks(capsys, monkeypatch):
+    forks = _count_forks(monkeypatch)
+    for args in (("--builtin", "lambert", "-N", "6"),
+                 ("--mode", "symbolic", "-N", "3", "--method", "newton")):
+        assert run(capsys, *args)[0] == 0
+    assert forks == []
+
+
+def test_worker_exception_is_raised_as_on_the_sequential_path(
+        capsys, monkeypatch, tmp_path):
+    real = cli.expand
+
+    def failing_newton(table, order=None, method="direct"):
+        if method == "newton":
+            raise cli.InvariantError("final residual is nonzero through the requested order")
+        return real(table, order, method)
+
+    monkeypatch.setattr(cli, "expand", failing_newton)
+    code, out, err, _ = _run_on_both_paths(capsys, monkeypatch, tmp_path, *SYMBOLIC_ALL)
+    assert (code, out) == (4, "")
+    assert err == ("error: internal invariant violated: final residual is nonzero "
+                   "through the requested order\n")
+
+
+@pytest.mark.parametrize("end, text", [
+    ("exit", "exit status 7"),
+    ("signal", "killed by signal 9"),
+])
+def test_worker_ending_without_a_result_exits_4(capsys, monkeypatch, tmp_path, end, text):
+    real = cli.expand
+    parent = os.getpid()
+
+    def vanishing_newton(table, order=None, method="direct"):
+        # only the worker ends; in this process newton runs as usual
+        if method == "newton" and os.getpid() != parent:
+            if end == "exit":
+                os._exit(7)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(table, order, method)
+
+    monkeypatch.setattr(cli, "expand", vanishing_newton)
+    path = tmp_path / "r.json"
+    code, out, err = run(capsys, *SYMBOLIC_ALL, "--out", str(path))
+    _assert_no_child_left()
+    assert (code, out) == (4, "") and not path.exists()
+    assert err == ("error: internal invariant violated: newton's worker ended "
+                   f"without a result ({text})\n")
+
+
+def _slow_newton_failing_direct(failure):
+    real = cli.expand
+
+    def expand(table, order=None, method="direct"):
+        if method == "newton":
+            time.sleep(30)
+        if method == "direct":
+            raise failure
+        return real(table, order, method)
+
+    return expand
+
+
+def test_a_failure_in_the_parent_kills_the_running_worker(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "expand", _slow_newton_failing_direct(ValueError("direct failed")))
+    t0 = time.perf_counter()
+    code, out, err, _ = _run_on_both_paths(capsys, monkeypatch, tmp_path, *SYMBOLIC_ALL)
+    assert time.perf_counter() - t0 < 10
+    assert (code, out, err) == (1, "", "error: direct failed\n")
+
+
+def test_an_interrupt_in_the_parent_kills_the_running_worker(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "expand", _slow_newton_failing_direct(KeyboardInterrupt()))
+    path = tmp_path / "r.json"
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        cli.main([*SYMBOLIC_ALL, "--out", str(path)])
+    assert time.perf_counter() - t0 < 10
+    _assert_no_child_left()
+    assert capsys.readouterr() == ("", "") and not path.exists()
+
+
+def test_check_lines_come_once_and_before_the_staged_document(capsys):
+    # stdout is a buffered pipe, so the check lines sit in the buffer when
+    # the worker is forked; the worker must not print them a second time
+    document = run(capsys, *SYMBOLIC_ALL)[1]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "implicitseries.cli", "--check", *SYMBOLIC_ALL],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("orthogonality relations through n=8: ok\n"
+                           "stirling coefficient sums through n=10: ok\n" + document)
