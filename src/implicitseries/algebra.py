@@ -29,8 +29,6 @@ class a monomial is the flat tuple (code0, exp0, code1, exp1, ...), codes
 strictly increasing and no zero exponents.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt

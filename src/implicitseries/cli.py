@@ -18,11 +18,19 @@ together, against 0.102 s and 0.101 s with the methods run one after
 another (medians of twelve fresh processes each, 2-vCPU host).  On
 rational tables, and where os.fork is missing, the methods run one after
 another in this process: there the fork costs more than newton takes.
+
+Flags are read with getopt, not argparse.  argparse's first parser in a
+process sends its titles through gettext, whose first lookup imports
+locale; getopt calls gettext only to word an error, so a run that parses
+cleanly imports neither.  On the benchmark's lambert20 job
+(--expr "y*exp(y)-x" -N 20) that took job_s from 0.0115 to 0.0088 s
+(medians of ten alternating pairs of runs, 2-vCPU host).  A flag that
+takes a value takes the next word, even one that starts with "-", and a
+long flag may be cut to a unique prefix.  Every usage error exits 1 with
+one error line; -h or --help prints the usage text and exits 0.
 """
 
-from __future__ import annotations
-
-import argparse
+import getopt
 import json
 import math
 import re
@@ -94,35 +102,81 @@ class MethodMismatchError(Exception):
         super().__init__(f"methods disagree at m={m}: {first} vs {second}")
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors, which would collide
-    # with the not-expandable status; reroute into the format-error path
-    def error(self, message):
-        raise FormatError(message)
+_USAGE = """\
+usage: implicitseries [-h] [-N ORDER] [--input FILE | --expr TEXT | --builtin NAME]
+                      [--method METHOD] [--mode MODE] [--out FILE]
+                      [--count-monomials] [--check] [--census-15]
+
+Expand the solution y(x) of f(x, y) = 0 as an exact power series.
+
+options:
+  -h, --help            show this help message and exit
+  -N, --order ORDER     number of coefficients y_1..y_N
+  --input FILE          JSON coefficient table
+  --expr TEXT           closed-form f(x, y)
+  --builtin NAME        named example equation: geometric or lambert
+  --method METHOD       direct, compose, newton or all (default: all)
+  --mode MODE           rational or symbolic (default: rational)
+  --out FILE            write the result here instead of stdout
+  --count-monomials     append per-coefficient monomial counts
+  --check               run the orthogonality and Stirling-sum self checks
+  --census-15           run the long symbolic y_15 monomial census; only
+                        --out and --check may accompany it
+
+A flag that takes a value takes the next word, even one that starts with
+"-"; --flag=value works too, and a long flag may be cut to a unique prefix.
+"""
+
+# getopt's long flags; a trailing "=" marks one that takes a value
+_LONG_FLAGS = ("order=", "input=", "expr=", "builtin=", "method=", "mode=", "out=",
+               "count-monomials", "check", "census-15", "help")
+_SHORT_FLAGS = {"-N": "order", "-h": "help"}
+_CHOICES = {
+    "builtin": ("geometric", "lambert"),
+    "method": ("direct", "compose", "newton", "all"),
+    "mode": ("rational", "symbolic"),
+}
 
 
-def _build_parser():
-    p = _ArgumentParser(
-        prog="implicitseries",
-        description="Expand the solution y(x) of f(x, y) = 0 as an exact power series.",
-    )
-    p.add_argument("-N", "--order", type=int, help="number of coefficients y_1..y_N")
-    src = p.add_mutually_exclusive_group()
-    src.add_argument("--input", metavar="FILE", help="JSON coefficient table")
-    src.add_argument("--expr", metavar="TEXT", help="closed-form f(x, y)")
-    src.add_argument("--builtin", choices=("geometric", "lambert"),
-                     help="named example equation")
-    p.add_argument("--method", choices=("direct", "compose", "newton", "all"),
-                   default="all")
-    p.add_argument("--mode", choices=("rational", "symbolic"), default="rational")
-    p.add_argument("--out", metavar="FILE", help="write the result here instead of stdout")
-    p.add_argument("--count-monomials", action="store_true",
-                   help="append per-coefficient monomial counts")
-    p.add_argument("--check", action="store_true",
-                   help="run the orthogonality and Stirling-sum self checks")
-    p.add_argument("--census-15", action="store_true", dest="census_15",
-                   help="run the long symbolic y_15 monomial census")
-    return p
+class _Options:
+    """The flags of one command line, by attribute; a flag not given
+    keeps the default set here."""
+
+    order = input = expr = builtin = out = None
+    method = "all"
+    mode = "rational"
+    count_monomials = check = census_15 = False
+
+
+def _parse_args(argv):
+    """argv's flags as _Options, or None when it asks for the usage text;
+    a usage error raises FormatError."""
+    try:
+        opts, rest = getopt.getopt(argv, "hN:", _LONG_FLAGS)
+    except getopt.GetoptError as e:
+        raise FormatError(str(e)) from None
+    given = {_SHORT_FLAGS.get(flag, flag[2:]): value for flag, value in opts}
+    if "help" in given:
+        return None
+    if rest:
+        raise FormatError(f"unrecognized arguments: {' '.join(rest)}")
+    args = _Options()
+    for name, value in given.items():
+        if name in _CHOICES and value not in _CHOICES[name]:
+            raise FormatError(
+                f"--{name} must be one of {', '.join(_CHOICES[name])}, not {value!r}")
+        setattr(args, name.replace("-", "_"), value if name + "=" in _LONG_FLAGS else True)
+    if args.order is not None:
+        try:
+            args.order = int(args.order)
+        except ValueError:
+            raise FormatError(f"--order takes an integer, not {args.order!r}") from None
+    sources = [f"--{name}" for name in ("input", "expr", "builtin") if name in given]
+    if len(sources) > 1:
+        raise FormatError(f"give one input source, not {' and '.join(sources)}")
+    if args.census_15 and given.keys() - {"census-15", "out", "check"}:
+        raise FormatError("--census-15 runs standalone: only --out and --check may accompany it")
+    return args
 
 
 _INT_RE = re.compile(r"^(0|-?[1-9][0-9]*)$")
@@ -519,8 +573,6 @@ def _expand_per_config(args):
 
 def _run(args):
     if args.census_15:
-        if args.order is not None or args.input or args.expr or args.builtin:
-            raise FormatError("--census-15 runs standalone (only --out may accompany it)")
         if args.check:
             run_checks()
         run_census(args.out)
@@ -551,7 +603,10 @@ def _run(args):
 
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(_USAGE)
+            return 0
         return _run(args)
     except NotExpandableError as e:
         print(f"error: not expandable: {e}", file=sys.stderr)

@@ -10,8 +10,6 @@ first-kind family for k = 1 also has an explicit partition-sum form, which
 doubles as the coefficient formula for compositional inversion of a series.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import comb, factorial
 

@@ -17,8 +17,6 @@ MAX_EXPONENT in magnitude, and parentheses and towers MAX_NESTING levels
 in depth.  There is no implicit multiplication.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 

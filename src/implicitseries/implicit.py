@@ -27,8 +27,6 @@ integral, otherwise a Fraction; in symbolic mode they are Laurent
 polynomials in the table symbols, with negative powers of F(0, 1) only.
 """
 
-from __future__ import annotations
-
 import time
 from itertools import repeat
 from math import comb, gcd, lcm

@@ -11,8 +11,6 @@ intermediates such as u^k / k! stay integral.  Orders never mix silently:
 binary operations demand equal orders and raise MixedOrderError otherwise.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, repeat

@@ -492,6 +492,90 @@ def test_status_1_usage_errors(capsys):
     assert run(capsys, "--builtin", "geometric", "--expr", "x",
                "-N", "2")[0] == 1                                  # two sources
     assert run(capsys, "--census-15", "-N", "3")[0] == 1           # census is standalone
+    for extra in (("--method", "newton"), ("--mode", "symbolic"), ("--count-monomials",),
+                  ("--method", "newton", "--mode", "symbolic", "--count-monomials"),
+                  ("--builtin", "lambert"), ("--expr", "y-x")):
+        code, out, err = run(capsys, "--census-15", *extra)
+        assert (code, out) == (1, ""), extra
+        assert "only --out and --check" in err and err.count("\n") == 1
+
+
+# -- flag parsing ---------------------------------------------------------------
+
+
+def test_a_value_starting_with_a_dash_may_follow_its_flag(capsys):
+    spaced = run(capsys, "--expr", "-x+y", "-N", "3")
+    assert spaced == run(capsys, "--expr=-x+y", "-N", "3")
+    assert spaced[0] == 0 and json.loads(spaced[1])["y"] == ["1", "0", "0"]
+    code, out, err = run(capsys, "--builtin", "lambert", "-N", "-3")
+    assert (code, out, err) == (1, "", "error: --order must be a positive integer\n")
+
+
+LAMBERT_5 = ("--builtin", "lambert", "--method", "newton", "-N", "5")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--builtin", "lambert", "--method", "newton", "-N5"),
+    ("--builtin", "lambert", "--method", "newton", "--order=5"),
+    ("--builtin", "lambert", "--method", "newton", "--order", "5"),
+    ("--builtin", "lambert", "--method", "newton", "--ord", "5"),
+    ("--builtin", "lambert", "--meth", "newton", "-N", "5"),
+    ("--builtin=lambert", "--method=newton", "-N", "5"),
+], ids=["N5", "order_eq", "order", "ord", "meth", "all_eq"])
+def test_accepted_flag_forms_print_the_canonical_bytes(capsys, argv):
+    canonical = run(capsys, *LAMBERT_5)
+    assert canonical[0] == 0 and canonical[2] == ""
+    assert run(capsys, *argv) == canonical
+
+
+@pytest.mark.parametrize("argv", [
+    ("--bogus",),
+    ("--builtin", "lambert", "--order"),
+    ("--builtin", "lambert", "-N", "x"),
+    ("--builtin", "lambert", "-N", "5", "--method", "nope"),
+    ("--mode", "nope", "-N", "2"),
+    ("--builtin", "lambert", "-N", "5", "extra"),
+    ("--builtin", "lambert", "--expr", "y-x", "-N", "5"),
+    ("--input", "t.json", "--builtin", "lambert", "-N", "5"),
+    ("--builtin", "lambert", "-N", "5", "--c"),
+    ("--check=yes",),
+], ids=["unknown", "no_value", "not_int", "bad_method", "bad_mode", "positional",
+        "two_sources", "input_and_builtin", "ambiguous_prefix", "value_on_switch"])
+def test_rejected_flag_forms_exit_1_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_usage_text(capsys, flag):
+    code, out, err = run(capsys, flag)
+    assert (code, err) == (0, "")
+    assert out == cli._USAGE
+    long_flags = [f"--{name.rstrip('=')}" for name in cli._LONG_FLAGS]
+    for word in ["-h", "-N", *long_flags, *(c for cs in cli._CHOICES.values() for c in cs)]:
+        assert word in out, word
+
+
+def test_a_run_imports_neither_argparse_nor_locale():
+    # building the first argparse parser in a process sends its titles
+    # through gettext, whose first lookup imports locale; getopt does so
+    # only on its error path
+    code = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import implicitseries.cli as cli\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    codes = (cli.main(['--expr', 'y*exp(y)-x', '-N', '6']),\n"
+        "             cli.main(['--mode', 'symbolic', '-N', '3', '--method', 'all']))\n"
+        "print(codes, sorted({'argparse', 'locale'} & set(sys.modules)))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "(0, 0) []\n"
 
 
 def test_status_3_method_mismatch(capsys, monkeypatch, tmp_path):

@@ -137,8 +137,8 @@ def test_no_cache_grows_with_every_distinct_input():
 
 # every stdlib module the package imports by name; what these load in turn
 # differs between Python versions, so the test compares against them
-STDLIB_NAMED = ("__future__", "argparse", "collections", "contextlib", "fractions",
-                "functools", "itertools", "json", "math", "operator", "re", "sys", "time")
+STDLIB_NAMED = ("collections", "contextlib", "fractions", "functools", "getopt",
+                "itertools", "json", "math", "operator", "re", "sys", "time")
 
 
 def _modules_loaded_by(statement):
