@@ -150,18 +150,15 @@ def _pack(factors):
     return key, bound
 
 
-def _unpack(key: int, codes=None) -> tuple:
-    """The flat (code, exponent, ...) tuple of a packed key; codes caches
-    the code of each slot for a caller that decodes many keys."""
-    if not key:
-        return ()
-    if codes is None:
-        codes = {}
+def _decode(key: int, codes: dict):
+    """(total |degree|, sorted (code, exponent) pairs) of a packed key;
+    codes caches the code of each slot across the keys of one caller."""
     # adding 2**15 to every slot the key reaches makes every digit
     # nonnegative; xor with the same bias leaves the zero slots zero
     bias = int.from_bytes(_HALF_DIGIT * (key.bit_length() // _SLOT_BITS + 1), "little")
     z = (key + bias) ^ bias
     pairs = []
+    degree = 0
     while z:
         shift = (z.bit_length() - 1) & -_SLOT_BITS
         d = z >> shift
@@ -169,9 +166,17 @@ def _unpack(key: int, codes=None) -> tuple:
         code = codes.get(shift)
         if code is None:
             code = codes[shift] = _slot_code(shift // _SLOT_BITS)
-        pairs.append((code, (d ^ _SLOT_HALF) - _SLOT_HALF))
+        e = (d ^ _SLOT_HALF) - _SLOT_HALF
+        degree += e if e > 0 else -e
+        pairs.append((code, e))
     pairs.sort()
-    return tuple(chain.from_iterable(pairs))
+    return degree, pairs
+
+
+def _unpack(key: int, codes=None) -> tuple:
+    """The flat (code, exponent, ...) tuple of a packed key; codes caches
+    the code of each slot for a caller that decodes many keys."""
+    return tuple(chain.from_iterable(_decode(key, {} if codes is None else codes)[1]))
 
 
 def _canonical(value):
@@ -340,13 +345,21 @@ class LaurentPoly:
 
     def sorted_terms(self):
         """(monomial, coefficient) pairs by total |degree|, then monomial."""
+        return [(r[1:-1], r[-1]) for r in self.sorted_records()]
+
+    def sorted_records(self):
+        """The terms as flat records (|degree|, code0, exp0, ..., coefficient)
+        in the order of `sorted_terms`.  Within one degree no monomial is a
+        prefix of another, so the records sort as (degree, monomial) pairs
+        do, with one flat tuple comparison each and no coefficient
+        compared."""
         codes = {}
-        keyed = []
+        records = []
         for key, c in self._terms.items():
-            mon = _unpack(key, codes)
-            keyed.append((sum(map(abs, mon[1::2])), mon, c))
-        keyed.sort()
-        return [(mon, c) for _, mon, c in keyed]
+            degree, pairs = _decode(key, codes)
+            records.append((degree, *chain.from_iterable(pairs), c))
+        records.sort()
+        return records
 
     def monomial_count(self) -> int:
         return len(self._terms)

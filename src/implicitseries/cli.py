@@ -12,12 +12,17 @@ while this one runs direct and compose and writes the document into an
 anonymous staging file; the document goes to --out or stdout only after
 the three results agree, so a failed run publishes nothing.  Newton
 shares no work with the other two, and on the generic table it is the
-longest of the three.  The CPU time is then spent in two processes: at
-N=10 a run took 0.075 s of wall time and 0.123 s of CPU in the two
-together, against 0.102 s and 0.101 s with the methods run one after
-another (medians of twelve fresh processes each, 2-vCPU host).  On
-rational tables, and where os.fork is missing, the methods run one after
-another in this process: there the fork costs more than newton takes.
+longest of the three.  At N=10 (fresh processes, 2-vCPU host, Python
+3.11) the worker spends about 50 ms in newton, and this process about
+15 ms in direct, 4.5 ms in compose and 35 ms rendering the 3.8 MB
+document; it then loads newton's result (2-3 ms), checks the agreement
+(1 ms) and copies the staged bytes (2 ms).  With a CPU each the two
+processes finish rendering and newton within a few ms of each other,
+and a run takes 0.06-0.07 s; where they share one CPU the fork gains
+nothing (0.116 s against 0.107 s run one after another, medians of
+twelve).  On rational tables, and where os.fork is missing, the methods
+run one after another in this process: there the fork costs more than
+newton takes.
 
 Flags are read with getopt, not argparse.  argparse's first parser in a
 process sends its titles through gettext, whose first lookup imports
@@ -44,6 +49,7 @@ from .combinatorics import bell_partial, stirling1_poly, stirling_number
 from .expr import ParseError, table_from_expr
 from .implicit import (
     CoeffTable,
+    ExpansionResult,
     InvariantError,
     NotExpandableError,
     TableError,
@@ -147,6 +153,11 @@ class _Options:
     mode = "rational"
     count_monomials = check = census_15 = False
 
+    @property
+    def has_source(self):
+        """Whether --input, --expr or --builtin was given."""
+        return (self.input, self.expr, self.builtin) != (None, None, None)
+
 
 def _parse_args(argv):
     """argv's flags as _Options, or None when it asks for the usage text;
@@ -166,6 +177,9 @@ def _parse_args(argv):
             raise FormatError(
                 f"--{name} must be one of {', '.join(_CHOICES[name])}, not {value!r}")
         setattr(args, name.replace("-", "_"), value if name + "=" in _LONG_FLAGS else True)
+    for name in ("input", "out"):
+        if given.get(name) == "":
+            raise FormatError(f"--{name} takes a file name, not an empty word")
     if args.order is not None:
         try:
             args.order = int(args.order)
@@ -264,7 +278,7 @@ def load_table_file(path, order):
 @contextmanager
 def _output(out_path):
     """The --out file opened for writing, or stdout."""
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
             yield fh
     else:
@@ -283,8 +297,8 @@ def _write_json(obj, newline, put, factor_texts=None):
     a symbolic payload runs to megabytes; here the indentation of each
     level is prepared once and no copy of the whole text is held.  newline
     is a line break plus the indentation of obj's own level.  factor_texts
-    holds the text of each factor already written, by (code, exponent,
-    indentation); a fresh dict is made for each top-level call."""
+    maps each indentation to the texts of the factors written at it (a
+    _FactorTexts); a fresh dict is made for each top-level call."""
     if factor_texts is None:
         factor_texts = {}
     if isinstance(obj, str):
@@ -321,37 +335,53 @@ def _write_json(obj, newline, put, factor_texts=None):
 
 def _write_poly(p, newline, put, factor_texts):
     """The text of p's `to_obj()` list, written straight from its sorted
-    terms with one put per term; no term or factor dict is built, except
+    records with one put per term; no term or factor dict is built, except
     once for each distinct factor, whose text is kept in factor_texts."""
-    terms = p.sorted_terms()
-    if not terms:
+    records = p.sorted_records()
+    if not records:
         put("[]")
         return
     inner = newline + "  "  # a term
     field = inner + "  "  # a key of the term
     indent = field + "  "  # a factor
+    texts = factor_texts.get(indent)
+    if texts is None:
+        texts = factor_texts[indent] = _FactorTexts(indent)
+    text_of = texts.__getitem__
     # str of an int or a Fraction holds nothing that JSON escapes
     head = "{" + field + '"c": "'
-    factor_sep = "," + indent
+    factors_head = '",' + field + '"factors": [' + indent
+    join = ("," + indent).join
     factors_end = field + "]" + inner + "}"
-    sep = "[" + inner
-    for mon, c in terms:
-        if mon:
-            texts = []
-            for i in range(0, len(mon), 2):
-                key = (mon[i], mon[i + 1], indent)
-                text = factor_texts.get(key)
-                if text is None:
-                    parts = []
-                    _write_json(_factor_obj(mon[i], mon[i + 1]), indent, parts.append)
-                    text = factor_texts[key] = "".join(parts)
-                texts.append(text)
-            put(sep + head + str(c) + '",' + field + '"factors": [' + indent
-                + factor_sep.join(texts) + factors_end)
+    no_factors = '",' + field + '"factors": []' + inner + "}"
+    sep = "[" + inner + head
+    for record in records:
+        if len(record) > 2:
+            # past the degree, zip pairs off the factors and stops at
+            # the coefficient
+            it = iter(record)
+            next(it)
+            put("".join((sep, str(record[-1]), factors_head, join(map(text_of, zip(it, it))),
+                         factors_end)))
         else:
-            put(sep + head + str(c) + '",' + field + '"factors": []' + inner + "}")
-        sep = "," + inner
+            put(sep + str(record[-1]) + no_factors)
+        sep = "," + inner + head
     put(newline + "]")
+
+
+class _FactorTexts(dict):
+    """The JSON text of each factor at one indentation, by (code, exponent),
+    made the first time it is asked for."""
+
+    def __init__(self, indent):
+        super().__init__()
+        self.indent = indent
+
+    def __missing__(self, factor):
+        parts = []
+        _write_json(_factor_obj(*factor), self.indent, parts.append)
+        text = self[factor] = "".join(parts)
+        return text
 
 
 def _payload(result, mode, method_label, count):
@@ -428,57 +458,58 @@ def _order_ceiling(mode, method):
 class _NewtonWorker:
     """newton's expansion in a forked worker process.
 
-    The worker sends back its ExpansionResult, or the exception it raised,
-    pickled through a pipe, and ends with os._exit, so that it neither
-    flushes this process's buffered stdout nor returns into the CLI.  Used
-    as a context manager: leaving the block before `result()` has reaped
-    the worker, on any exception, kills and reaps it.  The modules of this
-    path are imported in it, so that importing the CLI loads none of them."""
+    The worker writes its ExpansionResult, or the exception it raised, into
+    an anonymous temporary file that this process opened (see
+    `_dump_outcome`), and ends with os._exit, so that it neither flushes
+    this process's buffered stdout nor returns into the CLI.  A file, not a
+    pipe: a pipe holds 64 KB, so the worker's write of newton's 0.3 MB at
+    N=10 would end only as this process read it, in a dozen waits.  Used as
+    a context manager: leaving the block before `result()` has reaped the
+    worker, on any exception, kills and reaps it.  The modules of this path
+    are imported in it, so that importing the CLI loads none of them."""
 
     def __init__(self, table, order):
         self.table, self.order = table, order
 
     def __enter__(self):
         import os
-        import pickle
+        import tempfile
 
-        r, w = os.pipe()
-        self._pipe = open(r, "rb")
+        self._file = tempfile.TemporaryFile()
         try:
             self.pid = os.fork()
         except BaseException:
-            self._pipe.close()
-            os.close(w)
+            self._file.close()
             raise
         if self.pid == 0:  # the worker
             status = 1
             try:
-                self._pipe.close()
                 try:
                     outcome = expand(self.table, self.order, "newton")
                 except BaseException as e:
                     outcome = e
-                with open(w, "wb") as pipe:
-                    pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+                tag, data = _dump_outcome(outcome)
+                self._file.write(tag)
+                self._file.write(data)
+                self._file.flush()
                 status = 0
             finally:
                 os._exit(status)
-        os.close(w)
         return self
 
     def result(self):
         """newton's ExpansionResult, or the exception it raised, raised
         here; an InvariantError if the worker ended without either."""
         import os
-        import pickle
 
-        data = self._pipe.read()
-        self._pipe.close()
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
+        with self._file as f:
+            f.seek(0)
+            data = f.read()
         try:
-            outcome = pickle.loads(data)
-        except Exception:  # an empty or cut-off pickle fails in several ways
+            outcome = _load_outcome(data)
+        except Exception:  # empty or cut-off bytes fail in several ways
             code = os.waitstatus_to_exitcode(status)
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
             raise InvariantError(f"newton's worker ended without a result ({how})") from None
@@ -492,9 +523,46 @@ class _NewtonWorker:
             import signal
 
             os.kill(self.pid, signal.SIGKILL)
-            self._pipe.close()
+            self._file.close()
             os.waitpid(self.pid, 0)
             self.pid = None
+
+
+def _dump_outcome(outcome):
+    """(tag, bytes) of newton's outcome for the worker's file.  A result whose
+    coefficients are all ints goes by marshal, as each polynomial's term
+    dict and exponent bound: marshal is loaded in every process, where the
+    first pickle costs an import.  Anything else, a Fraction coefficient
+    or an exception, goes by pickle."""
+    import marshal
+
+    if isinstance(outcome, ExpansionResult):
+        try:
+            return b"M", marshal.dumps((outcome.order, outcome.method,
+                                        [(p._terms, p._bound) for p in outcome.y],
+                                        outcome.diagnostics))
+        except ValueError:  # marshal writes no Fraction
+            pass
+    import pickle
+
+    return b"P", pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+
+
+def _load_outcome(data):
+    """The outcome that `_dump_outcome` tagged and wrote as data."""
+    tag, body = data[:1], memoryview(data)[1:]
+    if tag == b"M":
+        import marshal
+
+        order, method, ys, diagnostics = marshal.loads(body)
+        return ExpansionResult(order, method,
+                               [LaurentPoly._raw(terms, bound) for terms, bound in ys],
+                               diagnostics)
+    if tag == b"P":
+        import pickle
+
+        return pickle.loads(body)
+    raise ValueError(f"no outcome tagged {tag!r}")
 
 
 def _check_agreement(results, order):
@@ -517,7 +585,10 @@ def _expand_all_forked(table, args):
     """--method all with newton in a forked worker, while this process
     runs direct and compose and renders the document into an anonymous
     staging file, which goes to --out or stdout only once the three
-    results agree."""
+    results agree.  The document is copied as bytes where the target has
+    a binary buffer, after the target's text layer is flushed, so that
+    the copy decodes and encodes nothing; a stdout without one, such as
+    an io.StringIO, takes the text."""
     import shutil
     import tempfile
 
@@ -529,9 +600,14 @@ def _expand_all_forked(table, args):
                                      args.count_monomials), staged)
             results.append(newton.result())
             _check_agreement(results, order)
-            staged.seek(0)
+            staged.seek(0)  # flushes the text layer
             with _output(args.out) as fh:
-                shutil.copyfileobj(staged, fh)
+                target = getattr(fh, "buffer", None)
+                if target is None:
+                    shutil.copyfileobj(staged, fh)
+                else:
+                    fh.flush()
+                    shutil.copyfileobj(staged.buffer, target)
 
 
 def _forks_newton(table):
@@ -546,11 +622,11 @@ def _forks_newton(table):
 def _expand_per_config(args):
     order = args.order
     if args.mode == "symbolic":
-        if args.input or args.expr or args.builtin:
+        if args.has_source:
             raise FormatError(
                 "symbolic mode expands the generic table and takes no input source")
         table = CoeffTable.symbolic(order)
-    elif args.input:
+    elif args.input is not None:
         table = load_table_file(args.input, order)
     elif args.expr is not None:
         table = table_from_expr(args.expr, order)
@@ -581,10 +657,7 @@ def _run(args):
     if args.check:
         run_checks()
 
-    wants_run = (
-        args.input or args.expr is not None or args.builtin or args.mode == "symbolic"
-    )
-    if not wants_run:
+    if not (args.has_source or args.mode == "symbolic"):
         if args.check:
             return 0
         raise FormatError("nothing to do: give an input source, a mode, or a check flag")

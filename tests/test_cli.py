@@ -1,6 +1,7 @@
 """Exit codes, file formats, and output determinism of the command line."""
 
 import hashlib
+import io
 import json
 import os
 import signal
@@ -17,7 +18,7 @@ import implicitseries.cli as cli
 from implicitseries.algebra import ZERO, LaurentPoly, fsym, xsym
 from implicitseries.combinatorics import bell_partial
 from implicitseries.expr import MAX_NESTING
-from implicitseries.implicit import CoeffTable, builtin_table, expand
+from implicitseries.implicit import CoeffTable, TableError, builtin_table, expand
 from implicitseries.series import BivariateEGF, TaylorEGF
 
 
@@ -498,6 +499,14 @@ def test_status_1_usage_errors(capsys):
         code, out, err = run(capsys, "--census-15", *extra)
         assert (code, out) == (1, ""), extra
         assert "only --out and --check" in err and err.count("\n") == 1
+    # an empty file name is rejected, not read as a flag left out
+    for argv in (("--mode", "symbolic", "--input", "", "-N", "1", "--method", "direct"),
+                 ("--input", "", "-N", "2"),
+                 ("--builtin", "lambert", "-N", "2", "--out", ""),
+                 ("--builtin", "lambert", "-N", "2", "--out=")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: --") and "empty" in err and err.count("\n") == 1
 
 
 # -- flag parsing ---------------------------------------------------------------
@@ -560,7 +569,8 @@ def test_help_prints_the_usage_text(capsys, flag):
 def test_a_run_imports_neither_argparse_nor_locale():
     # building the first argparse parser in a process sends its titles
     # through gettext, whose first lookup imports locale; getopt does so
-    # only on its error path
+    # only on its error path.  newton's worker hands back an int result by
+    # marshal, so the symbolic run imports no pickle either
     code = (
         "import io, sys\n"
         "from contextlib import redirect_stdout\n"
@@ -568,7 +578,7 @@ def test_a_run_imports_neither_argparse_nor_locale():
         "with redirect_stdout(io.StringIO()):\n"
         "    codes = (cli.main(['--expr', 'y*exp(y)-x', '-N', '6']),\n"
         "             cli.main(['--mode', 'symbolic', '-N', '3', '--method', 'all']))\n"
-        "print(codes, sorted({'argparse', 'locale'} & set(sys.modules)))\n"
+        "print(codes, sorted({'argparse', 'locale', 'pickle'} & set(sys.modules)))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-S", "-c", code],
@@ -796,3 +806,91 @@ def test_check_lines_come_once_and_before_the_staged_document(capsys):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == ("orthogonality relations through n=8: ok\n"
                            "stirling coefficient sums through n=10: ok\n" + document)
+
+
+def test_a_stdout_without_a_binary_buffer_gets_the_bytes_of_out(monkeypatch, tmp_path):
+    argv = ["--mode", "symbolic", "-N", "6", "--method", "all"]
+    path = tmp_path / "r.json"
+    assert cli.main([*argv, "--out", str(path)]) == 0
+    text = io.StringIO()
+    assert not hasattr(text, "buffer")
+    monkeypatch.setattr(sys, "stdout", text)
+    assert cli.main(argv) == 0
+    _assert_no_child_left()
+    assert text.getvalue().encode("utf-8") == path.read_bytes()
+
+
+def test_a_stdout_pipe_gets_the_bytes_of_out(tmp_path):
+    argv = ["-m", "implicitseries.cli", "--check", "--mode", "symbolic", "-N", "6",
+            "--method", "all"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    path = tmp_path / "r.json"
+    written = subprocess.run([sys.executable, *argv, "--out", str(path)], env=env,
+                             capture_output=True, timeout=60)
+    piped = subprocess.run([sys.executable, *argv], env=env, capture_output=True, timeout=60)
+    assert (written.returncode, written.stderr, piped.returncode, piped.stderr) == (0, b"", 0, b"")
+    # the check lines go through the text layer, the document as bytes after them
+    checks = written.stdout
+    assert checks.count(b"\n") == 2
+    assert piped.stdout == checks + path.read_bytes()
+
+
+def _fraction_table():
+    """A symbolic table whose newton result has Fraction coefficients."""
+    return CoeffTable(4, {(0, 1): fsym(0, 1), (1, 0): Fraction(-1, 3) * fsym(1, 0),
+                          (0, 2): Fraction(1, 2) * fsym(0, 2) + 1, (1, 1): fsym(1, 1)},
+                      "symbolic")
+
+
+@pytest.mark.parametrize("table, tag", [
+    (CoeffTable.symbolic(5), b"M"),
+    (_fraction_table(), b"P"),
+], ids=["int", "fraction"])
+def test_the_worker_hands_back_newtons_value(table, tag):
+    want = expand(table, 4, "newton")
+    # ints go by marshal, Fractions by pickle; both must come back whole
+    assert cli._dump_outcome(want)[0] == tag
+    with cli._NewtonWorker(table, 4) as worker:
+        got = worker.result()
+    _assert_no_child_left()
+    assert (got.order, got.method, got.y) == (want.order, want.method, want.y)
+    assert [type(v) for v in got.y] == [LaurentPoly] * 4
+    assert [[type(c) for c in v._terms.values()] for v in got.y] == [
+        [type(c) for c in v._terms.values()] for v in want.y]
+    assert [d["monomials"] for d in got.diagnostics] == [
+        d["monomials"] for d in want.diagnostics]
+
+
+def test_a_worker_raising_table_error_exits_1_as_on_the_sequential_path(
+        capsys, monkeypatch, tmp_path):
+    real = cli.expand
+
+    def failing_newton(table, order=None, method="direct"):
+        if method == "newton":
+            raise TableError("no such entry")
+        return real(table, order, method)
+
+    monkeypatch.setattr(cli, "expand", failing_newton)
+    with cli._NewtonWorker(_fraction_table(), 4) as worker:
+        with pytest.raises(TableError, match="no such entry"):
+            worker.result()
+    _assert_no_child_left()
+    code, out, err, _ = _run_on_both_paths(capsys, monkeypatch, tmp_path, *SYMBOLIC_ALL)
+    assert (code, out, err) == (1, "", "error: no such entry\n")
+
+
+def test_a_killed_worker_raises_invariant_error(monkeypatch):
+    real = cli.expand
+    parent = os.getpid()
+
+    def killed_newton(table, order=None, method="direct"):
+        if method == "newton" and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(table, order, method)
+
+    monkeypatch.setattr(cli, "expand", killed_newton)
+    with cli._NewtonWorker(_fraction_table(), 4) as worker:
+        with pytest.raises(cli.InvariantError, match="killed by signal 9"):
+            worker.result()
+    _assert_no_child_left()
