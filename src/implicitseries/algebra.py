@@ -23,10 +23,15 @@ arithmetic is exact.
 Inside a polynomial a monomial is one int, its packed key (Monagan and
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed
 exponent vectors", CASC 2007), so a product of monomials is one int
-addition.  Exponents stay below 2**14 in absolute value; an operation that
-could pass that raises OverflowError instead of wrapping.  Outside the
-class a monomial is the flat tuple (code0, exp0, code1, exp1, ...), codes
-strictly increasing and no zero exponents.
+addition.  A key gives each indeterminate a slot of 8 bits while the
+polynomial's exponent bound stays below 2**6, and of 16 bits from there
+on; the bound alone sets the width, so the generic expansions, whose
+exponents stay far below 2**6, run on keys half as long.  Exponents stay
+below 2**14 in absolute value at either width; an operation that could
+pass that raises OverflowError instead of wrapping.  Equal values compare
+and hash equal whatever width they are held at.  Outside the class a
+monomial is the flat tuple (code0, exp0, code1, exp1, ...), codes strictly
+increasing and no zero exponents.
 """
 
 from fractions import Fraction
@@ -49,6 +54,9 @@ _X_BASE = 1 << 50
 # Exponents, and the bound each polynomial keeps on them, stay below this,
 # half the 2**15 that a balanced 16-bit slot holds.
 _EXP_LIMIT = 1 << 14
+# A polynomial whose bound stays below this, half the 2**7 of a balanced
+# 8-bit slot, packs its keys at 8 bits per slot.
+_NARROW_LIMIT = 1 << 6
 
 
 def fcode(m: int, n: int) -> int:
@@ -86,12 +94,19 @@ def code_name(code: int) -> str:
 
 # -- packed monomials ----------------------------------------------------
 #
-# The key of a monomial is sum(e_s << (16 * s)) over its slots s, each
-# exponent e_s a balanced digit: two's-complement, so a negative exponent
-# borrows from the slots above and a sum of keys is the key of the product
-# while every |e_s| < 2**15.  Each polynomial keeps a bound on its |e_s|
-# (a product's is the sum of its factors', a sum's the larger one) and a
-# product whose bound reaches _EXP_LIMIT raises before it is formed.
+# The key of a monomial is sum(e_s << (w * s)) over its slots s, w bits a
+# slot, each exponent e_s a balanced digit: two's-complement, so a negative
+# exponent borrows from the slots above and a sum of keys is the key of the
+# product while every |e_s| < 2**(w - 1).  Each polynomial keeps a bound on
+# its |e_s| (a product's is the sum of its factors', a sum's the larger
+# one), and the bound alone sets w (`_bits`): 8 bits below _NARROW_LIMIT,
+# 16 bits from there to _EXP_LIMIT, where a product raises before it is
+# formed.  A product or sum whose bound reaches _NARROW_LIMIT repacks its
+# 8-bit operands at 16 bits (`_widen`), in `dot` and `_aligned`, so both
+# kernels add keys of one width and no kernel loop asks which.  A bound is
+# coarse: F(0,1)**40 * F(0,1)**-40 is 1 held at 16 bits.  So equality
+# widens an 8-bit side, and the hash reads 16-bit keys at 8 bits whenever
+# every exponent fits (`_narrowed`).
 #
 # The slot of an indeterminate is a function of its code alone, so no table
 # grows with the inputs: X(i) takes every 16th slot, 16 * (i - 1), and the
@@ -99,12 +114,22 @@ def code_name(code: int) -> str:
 # which keeps the keys of the generic y_N short.  Slots stop at _SLOT_LIMIT,
 # past every F(m, n) with m + n < 350 and every X(i) with i <= 4096, so a
 # key stays below 2**20 bits.  Keys are decoded into flat tuples only at
-# the public edges (`terms`, `sorted_terms`, `variables`, ...).
+# the public edges (`terms`, `sorted_terms`, `variables`, ...), each call
+# with one cache of slot codes for all its keys.
 
-_SLOT_BITS = 16
-_SLOT_HALF = 1 << (_SLOT_BITS - 1)
+_NARROW_BITS = 8
+_WIDE_BITS = 16
 _SLOT_LIMIT = 1 << 16
-_HALF_DIGIT = _SLOT_HALF.to_bytes(2, "little")
+# the digit 2**(w - 1) of one slot, as w // 8 little-endian bytes
+_HALF_DIGIT = {w: (1 << (w - 1)).to_bytes(w // 8, "little") for w in (_NARROW_BITS, _WIDE_BITS)}
+# the digit 2**7 in each 8- or 16-bit slot, as the bytes of one slot
+_NARROW_BIAS = b"\x80"
+_WIDE_BIAS = b"\x80\x00"
+
+
+def _bits(bound: int) -> int:
+    """The slot width of the keys of a polynomial with this exponent bound."""
+    return _NARROW_BITS if bound < _NARROW_LIMIT else _WIDE_BITS
 
 
 def _slot(code: int) -> int:
@@ -129,9 +154,11 @@ def _slot_code(s: int) -> int:
     return ((d - n) << _F_SHIFT) | n
 
 
-def _pack(factors):
-    """(key, largest |exponent|) of a monomial given as (code, exponent)
-    pairs in any order; repeated codes add up and zero exponents drop out."""
+def _pack(factors, bits):
+    """(key at bits per slot, largest |exponent|) of a monomial given as
+    (code, exponent) pairs in any order; repeated codes add up and zero
+    exponents drop out.  The key is right when the bound is below the
+    width's limit."""
     acc: dict[int, int] = {}
     for code, e in factors:
         acc[code] = acc.get(code, 0) + e
@@ -145,38 +172,84 @@ def _pack(factors):
             )
         if abs(e) >= _EXP_LIMIT:
             raise OverflowError("monomial exponent out of supported range")
-        key += e << (_SLOT_BITS * _slot(code))
+        key += e << (bits * _slot(code))
         bound = max(bound, abs(e))
     return key, bound
 
 
-def _decode(key: int, codes: dict):
-    """(total |degree|, sorted (code, exponent) pairs) of a packed key;
-    codes caches the code of each slot across the keys of one caller."""
-    # adding 2**15 to every slot the key reaches makes every digit
+def _decode(key: int, bits: int, codes: dict):
+    """(total |degree|, sorted (code, exponent) pairs) of a key packed at
+    bits per slot; codes caches the code of each slot across the keys of
+    one caller, all at that width."""
+    # adding 2**(bits - 1) to every slot the key reaches makes every digit
     # nonnegative; xor with the same bias leaves the zero slots zero
-    bias = int.from_bytes(_HALF_DIGIT * (key.bit_length() // _SLOT_BITS + 1), "little")
+    bias = int.from_bytes(_HALF_DIGIT[bits] * (key.bit_length() // bits + 1), "little")
     z = (key + bias) ^ bias
+    half = 1 << (bits - 1)
+    align = -bits
     pairs = []
     degree = 0
     while z:
-        shift = (z.bit_length() - 1) & -_SLOT_BITS
+        shift = (z.bit_length() - 1) & align
         d = z >> shift
         z ^= d << shift
         code = codes.get(shift)
         if code is None:
-            code = codes[shift] = _slot_code(shift // _SLOT_BITS)
-        e = (d ^ _SLOT_HALF) - _SLOT_HALF
+            code = codes[shift] = _slot_code(shift // bits)
+        e = (d ^ half) - half
         degree += e if e > 0 else -e
         pairs.append((code, e))
     pairs.sort()
     return degree, pairs
 
 
-def _unpack(key: int, codes=None) -> tuple:
-    """The flat (code, exponent, ...) tuple of a packed key; codes caches
-    the code of each slot for a caller that decodes many keys."""
-    return tuple(chain.from_iterable(_decode(key, {} if codes is None else codes)[1]))
+def _unpack(key: int, bits: int, codes=None) -> tuple:
+    """The flat (code, exponent, ...) tuple of a key packed at bits per
+    slot; codes caches the code of each slot for a caller that decodes
+    many keys."""
+    return tuple(chain.from_iterable(_decode(key, bits, {} if codes is None else codes)[1]))
+
+
+def _widen(terms: dict) -> dict:
+    """A term dict keyed at 8 bits per slot, its exponents below
+    _NARROW_LIMIT, repacked at 16."""
+    out = {}
+    for key, c in terms.items():
+        n = key.bit_length() // 8 + 1
+        # biased by 2**7 a slot, each byte of the key is its digit + 2**7;
+        # spread the bytes 16 bits apart and take the bias off again
+        digits = bytearray(2 * n)
+        digits[::2] = (key + int.from_bytes(_NARROW_BIAS * n, "little")).to_bytes(n, "little")
+        out[int.from_bytes(digits, "little") - int.from_bytes(_WIDE_BIAS * n, "little")] = c
+    return out
+
+
+def _narrowed(terms: dict):
+    """A term dict keyed at 16 bits per slot repacked at 8, or None when an
+    exponent has no balanced 8-bit digit."""
+    out = {}
+    for key, c in terms.items():
+        n = key.bit_length() // 16 + 1
+        biased = key + int.from_bytes(_WIDE_BIAS * n, "little")
+        if biased < 0:  # a digit below -2**7
+            return None
+        digits = biased.to_bytes(2 * n, "little")
+        if digits[1::2].count(0) < n:  # a digit past the low byte of its slot
+            return None
+        out[int.from_bytes(digits[::2], "little") - int.from_bytes(_NARROW_BIAS * n, "little")] = c
+    return out
+
+
+def _aligned(p, q):
+    """The term dicts of polynomials p and q at one width, the wider of
+    their two."""
+    a, b = p._terms, q._terms
+    if (p._bound < _NARROW_LIMIT) is not (q._bound < _NARROW_LIMIT):
+        if p._bound < _NARROW_LIMIT:
+            a = _widen(a)
+        else:
+            b = _widen(b)
+    return a, b
 
 
 def _canonical(value):
@@ -244,6 +317,10 @@ def dot(triples):
     canonical (a LaurentPoly if any operand is one, zero included).  Raises
     OverflowError on the same exponent bound as __mul__."""
     out = {}
+    # out is keyed at 8 bits per slot until a pair's bound reaches
+    # _NARROW_LIMIT; from then on widen is 0, so every later pair takes
+    # the branch that repacks its 8-bit operands at 16
+    widen = _NARROW_LIMIT
     # the scalar products: s sums those of two ints, and num / den the
     # others over the lcm of their denominators, so that no term makes a
     # Fraction and its gcd
@@ -267,13 +344,21 @@ def dot(triples):
                 continue
             a, b = b, a
         if type(b) is LaurentPoly:
-            pair, b = a._bound + b._bound, b._terms
+            pair, bt = a._bound + b._bound, b._terms
         else:
-            pair, b = a._bound, {0: b} if b else {}
-        if pair >= _EXP_LIMIT:
-            raise OverflowError("monomial exponent out of supported range")
+            pair, bt = a._bound, {0: b} if b else {}
+        at = a._terms
+        if pair >= widen:
+            if pair >= _EXP_LIMIT:
+                raise OverflowError("monomial exponent out of supported range")
+            if widen:
+                out, widen = _widen(out), 0
+            if a._bound < _NARROW_LIMIT:
+                at = _widen(at)
+            if pair - a._bound < _NARROW_LIMIT:  # b's bound, 0 for a scalar
+                bt = _widen(bt)
         if k:
-            addmul_terms(out, k, a._terms, b)
+            addmul_terms(out, k, at, bt)
         bound = max(bound, pair)
     if num:
         s = Fraction(s * den + num, den)
@@ -304,9 +389,9 @@ class LaurentPoly:
 
     Built from (flat monomial tuple, coefficient) pairs or a dict of them.
     Internally a dict mapping packed monomial keys to nonzero canonical
-    scalars, and a bound on the absolute value of every exponent; never
-    mutated after construction, so instances are safe to share and to use
-    as dict keys.
+    scalars, and a bound on the absolute value of every exponent, which
+    sets the width of the keys (`_bits`); never mutated after
+    construction, so instances are safe to share and to use as dict keys.
     """
 
     __slots__ = ("_terms", "_bound", "_hash")
@@ -320,8 +405,9 @@ class LaurentPoly:
 
     @classmethod
     def _raw(cls, terms: dict, bound: int) -> "LaurentPoly":
-        # Trusted constructor: terms must already be normalized, and no
-        # exponent may exceed bound in absolute value.
+        # Trusted constructor: terms must already be normalized, keyed at
+        # the width of bound, and no exponent may exceed bound in absolute
+        # value.
         p = cls.__new__(cls)
         p._terms = terms
         p._bound = bound
@@ -335,13 +421,14 @@ class LaurentPoly:
 
     @classmethod
     def variable(cls, code: int) -> "LaurentPoly":
-        return cls._raw({1 << (_SLOT_BITS * _slot(code)): 1}, 1)
+        return cls._raw({1 << (_bits(1) * _slot(code)): 1}, 1)
 
     # -- queries ---------------------------------------------------------
 
     def terms(self) -> dict:
         """The term dict, keyed by flat monomial tuples; a fresh copy."""
-        return {_unpack(m): c for m, c in self._terms.items()}
+        bits, codes = _bits(self._bound), {}
+        return {_unpack(m, bits, codes): c for m, c in self._terms.items()}
 
     def sorted_terms(self):
         """(monomial, coefficient) pairs by total |degree|, then monomial."""
@@ -353,10 +440,10 @@ class LaurentPoly:
         prefix of another, so the records sort as (degree, monomial) pairs
         do, with one flat tuple comparison each and no coefficient
         compared."""
-        codes = {}
+        bits, codes = _bits(self._bound), {}
         records = []
         for key, c in self._terms.items():
-            degree, pairs = _decode(key, codes)
+            degree, pairs = _decode(key, bits, codes)
             records.append((degree, *chain.from_iterable(pairs), c))
         records.sort()
         return records
@@ -373,7 +460,7 @@ class LaurentPoly:
         if len(self._terms) != 1:
             return False
         (mon,) = self._terms
-        return all(code in _INVERTIBLE_CODES for code in _unpack(mon)[::2])
+        return all(code in _INVERTIBLE_CODES for code in _unpack(mon, _bits(self._bound))[::2])
 
     def unit_inverse(self) -> "LaurentPoly":
         if not self.is_unit():
@@ -385,16 +472,17 @@ class LaurentPoly:
         """The code of a bare variable (one term, coefficient 1, exponent 1)."""
         if len(self._terms) == 1:
             ((key, c),) = self._terms.items()
-            mon = _unpack(key)
+            mon = _unpack(key, _bits(self._bound))
             if len(mon) == 2 and mon[1] == 1 and c == 1:
                 return mon[0]
         raise ValueError(f"not a bare variable: {self}")
 
     def variables(self):
         """Sorted codes of all indeterminates occurring in the polynomial."""
+        bits, codes = _bits(self._bound), {}
         seen = set()
         for key in self._terms:
-            seen.update(_unpack(key)[::2])
+            seen.update(_unpack(key, bits, codes)[::2])
         return sorted(seen)
 
     # -- arithmetic ------------------------------------------------------
@@ -404,16 +492,22 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
-            return self._terms == other._terms
+            if len(self._terms) != len(other._terms):
+                return False
+            a, b = _aligned(self, other)
+            return a == b
         if isinstance(other, (int, Fraction)):
             return self._terms == LaurentPoly.const(other)._terms
         return NotImplemented
 
     def __hash__(self):
-        # a constant hashes like its scalar, as it compares equal to it
+        # a constant hashes like its scalar, as it compares equal to it, and
+        # a value at either width like its 8-bit keys when it has them
         h = self._hash
         if h is None:
             terms = self._terms
+            if self._bound >= _NARROW_LIMIT:
+                terms = _narrowed(terms) or terms
             if not terms:
                 h = hash(0)
             elif len(terms) == 1 and 0 in terms:
@@ -423,14 +517,18 @@ class LaurentPoly:
             self._hash = h
         return h
 
-    def __add__(self, other):
+    def _add(self, other, sign):
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(other)
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self._terms)
-        addscaled_terms(out, 1, other._terms)
+        a, b = _aligned(self, other)
+        out = dict(a)
+        addscaled_terms(out, sign, b)
         return LaurentPoly._raw(out, max(self._bound, other._bound))
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
@@ -438,13 +536,7 @@ class LaurentPoly:
         return LaurentPoly._raw({m: -c for m, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        addscaled_terms(out, -1, other._terms)
-        return LaurentPoly._raw(out, max(self._bound, other._bound))
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -552,12 +644,14 @@ def _factor_obj(code, e):
 
 def _normalize_raw(terms):
     """Normalize raw term data, keyed by flat monomial tuples, into the
-    packed term dict and the bound on its exponents."""
+    packed term dict and the bound on its exponents.  The keys are packed
+    at 16 bits, right for any bound, and repacked at 8 when the bound
+    allows."""
     items = terms.items() if isinstance(terms, dict) else terms
     acc: dict[int, int | Fraction] = {}
     bound = 0
     for mon, c in items:
-        mon, b = _pack(zip(mon[::2], mon[1::2]))
+        mon, b = _pack(zip(mon[::2], mon[1::2]), _WIDE_BITS)
         c = _canonical(c)
         if not c:
             continue
@@ -571,6 +665,8 @@ def _normalize_raw(terms):
                 acc[mon] = s
             else:
                 del acc[mon]
+    if bound < _NARROW_LIMIT:
+        acc = _narrowed(acc)
     return acc, bound
 
 

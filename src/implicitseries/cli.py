@@ -531,8 +531,9 @@ class _NewtonWorker:
 def _dump_outcome(outcome):
     """(tag, bytes) of newton's outcome for the worker's file.  A result whose
     coefficients are all ints goes by marshal, as each polynomial's term
-    dict and exponent bound: marshal is loaded in every process, where the
-    first pickle costs an import.  Anything else, a Fraction coefficient
+    dict and exponent bound, all that `LaurentPoly._raw` takes to rebuild
+    it (the bound also fixes how the dict's keys are packed): marshal is
+    loaded in every process, where the first pickle costs an import.  Anything else, a Fraction coefficient
     or an exception, goes by pickle."""
     import marshal
 

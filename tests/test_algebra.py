@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from implicitseries.algebra import (
     _EXP_LIMIT,
+    _NARROW_LIMIT,
     ONE,
     ZERO,
     LaurentPoly,
     NotInvertibleError,
+    _bits,
     _pack,
     _unpack,
     as_coefficient,
@@ -30,6 +32,10 @@ F10 = fcode(1, 0)
 F01 = fcode(0, 1)
 X1 = xcode(1)
 X2 = xcode(2)
+
+# each slot width of the packed keys, with the limit its exponent bounds
+# stay below
+WIDTHS = [(_bits(0), _NARROW_LIMIT), (_bits(_NARROW_LIMIT), _EXP_LIMIT)]
 
 
 def test_normalize_merges_like_monomials():
@@ -324,6 +330,87 @@ def test_products_past_the_slot_raise_instead_of_wrapping():
     }
 
 
+@pytest.mark.parametrize("h, pair", [
+    (_NARROW_LIMIT // 2, _NARROW_LIMIT - 1),
+    (_NARROW_LIMIT // 2, _NARROW_LIMIT),
+    (_NARROW_LIMIT // 2 + 1, _NARROW_LIMIT + 1),
+], ids=["narrow-limit-minus-one", "narrow-limit", "narrow-limit-plus-one"])
+def test_products_at_the_narrow_limit_come_out_exact(h, pair):
+    # the bound of the product is pair: below _NARROW_LIMIT it stays at 8
+    # bits, from there on its operands are repacked at 16, and either way
+    # every slot, negative exponents included, comes out exact
+    g = pair - h
+    a = LaurentPoly([((F01, -h), 1), ((X2, h), 1)])
+    b = LaurentPoly([((F01, -g), 2), ((X2, g), 1)])
+    want = {(F01, -pair): 2, (X2, pair): 1}
+    for mon, c in (((F01, -h, X2, g), 1), ((F01, -g, X2, h), 2)):
+        want[mon] = want.get(mon, 0) + c
+    for got in (a * b, b * a, dot([(1, a, b)]), dot([(3, a, 2), (1, a, b), (-3, 2, a)])):
+        assert got._bound == pair
+        assert got.terms() == want
+        assert got == LaurentPoly(want) and hash(got) == hash(LaurentPoly(want))
+
+
+def test_a_value_past_the_narrow_range_by_its_bound_alone_is_the_same_value():
+    # the bound of the product passes _NARROW_LIMIT, so it is held at 16
+    # bits, but its value has one exponent 1
+    f01 = fsym(0, 1)
+    want = fsym(2, 0)
+    got = (f01 ** 40 * want) * f01 ** -40
+    assert want._bound < _NARROW_LIMIT <= got._bound
+    assert got == want and want == got and not got != want
+    assert hash(got) == hash(want)
+    assert got.sorted_records() == want.sorted_records()
+    assert got.to_obj() == want.to_obj()
+    assert str(got) == str(want)
+    assert len({got, want}) == 1 and {want: 1}[got] == 1
+    assert got.terms() == want.terms() and got.variables() == want.variables()
+    assert got.single_variable_code() == fcode(2, 0) and not got.is_unit()
+    assert got - want == 0 and got + want == 2 * want
+    assert got * fsym(1, 0) == want * fsym(1, 0)
+    one = f01 ** 40 * f01 ** -40
+    assert one._bound >= _NARROW_LIMIT
+    assert one == 1 and one == ONE and hash(one) == hash(1) == hash(ONE)
+    assert one.is_unit() and one.unit_inverse() == 1
+
+
+def test_values_past_the_narrow_range_hash_alike_at_either_bound():
+    # exponents of 64 and more have no 8-bit key: equal values hash alike
+    # by their 16-bit keys
+    f01 = fsym(0, 1)
+    built = LaurentPoly([((F01, -70), 3), ((F01, 5, X2, 100), 1)])
+    reached = 3 * f01 ** -35 * f01 ** -35 + f01 ** 5 * xsym(2) ** 100
+    coarse = (reached * f01 ** 200) * f01 ** -200
+    assert built._bound < reached._bound < coarse._bound
+    assert built == reached == coarse
+    assert hash(built) == hash(reached) == hash(coarse)
+    assert len({built, reached, coarse}) == 1
+    assert built.sorted_records() == coarse.sorted_records()
+
+
+def test_values_held_at_either_width_are_interchangeable():
+    rng = random.Random(64)
+    f01 = fsym(0, 1)
+    one = f01 ** 40 * f01 ** -40  # 1, held at 16 bits
+
+    def either(p):
+        return p * one if rng.random() < 0.5 else p
+
+    for _ in range(150):
+        p, q = _random_poly(rng), _random_poly(rng)
+        wp, wq = p * one, either(q)
+        assert wp == p and hash(wp) == hash(p)
+        assert wp.sorted_records() == p.sorted_records()
+        assert wp.to_obj() == p.to_obj() and wp.variables() == p.variables()
+        assert wp + wq == p + q and wq - wp == q - p and wp * wq == p * q
+        assert -wp == -p and div_int(wp, 3) == div_int(p, 3)
+        # a dot whose accumulator switches to 16 bits partway through
+        k = [rng.choice([-2, 1, 3]) for _ in range(3)]
+        triples = [(k[0], p, q), (k[1], wp, either(q)), (k[2], either(q), Fraction(1, 2))]
+        want = k[0] * p * q + k[1] * p * q + k[2] * q * Fraction(1, 2)
+        assert dot(triples) == want and hash(dot(triples)) == hash(want)
+
+
 def test_mul_preserves_normal_form_invariants():
     rng = random.Random(99)
     for _ in range(60):
@@ -372,30 +459,32 @@ def _tuple_mon_mul(a, b):
     return tuple(out)
 
 
-def _key(mon):
-    key, _ = _pack(zip(mon[::2], mon[1::2]))
+def _key(mon, bits):
+    key, _ = _pack(zip(mon[::2], mon[1::2]), bits)
     return key
 
 
-def _packed_mul(a, b):
-    return _unpack(_key(a) + _key(b))
+def _packed_mul(a, b, bits):
+    return _unpack(_key(a, bits) + _key(b, bits), bits)
 
 
 def test_packed_product_merges_and_cancels():
     a = (fcode(0, 1), -1, xcode(1), 2)
     b = (fcode(0, 1), 1, xcode(2), 1)
-    assert _packed_mul(a, b) == (xcode(1), 2, xcode(2), 1)
-    assert _packed_mul((), a) == a
-    assert _packed_mul(a, ()) == a
-    assert _packed_mul(a, (fcode(0, 1), 1, xcode(1), -2)) == ()
-    assert _key(()) == 0
+    for bits, _ in WIDTHS:
+        assert _packed_mul(a, b, bits) == (xcode(1), 2, xcode(2), 1)
+        assert _packed_mul((), a, bits) == a
+        assert _packed_mul(a, (), bits) == a
+        assert _packed_mul(a, (fcode(0, 1), 1, xcode(1), -2), bits) == ()
+        assert _key((), bits) == 0
 
 
 def test_packed_power():
     m = (xcode(1), 2, xcode(2), 1)
-    assert _unpack(3 * _key(m)) == (xcode(1), 6, xcode(2), 3)
-    assert _unpack(-_key(m)) == (xcode(1), -2, xcode(2), -1)
-    assert _unpack(0 * _key(m)) == ()
+    for bits, _ in WIDTHS:
+        assert _unpack(3 * _key(m, bits), bits) == (xcode(1), 6, xcode(2), 3)
+        assert _unpack(-_key(m, bits), bits) == (xcode(1), -2, xcode(2), -1)
+        assert _unpack(0 * _key(m, bits), bits) == ()
     p = xsym(1) ** 2 * xsym(2)
     assert (p ** 3).terms() == {(xcode(1), 6, xcode(2), 3): 1}
     u = xsym(1) ** 2 * fsym(0, 1)
@@ -427,20 +516,22 @@ def _monomials(draw, max_exp=_EXP_LIMIT - 1):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_monomials())
-def test_pack_round_trip(mon):
-    key, bound = _pack(zip(mon[::2], mon[1::2]))
-    assert _unpack(key) == mon
-    assert bound == max((abs(e) for e in mon[1::2]), default=0)
-    assert LaurentPoly([(mon, 3)]).terms() == {mon: 3}
+@given(data=st.data())
+def test_pack_round_trip(data):
+    for bits, limit in WIDTHS:
+        mon = data.draw(_monomials(limit - 1))
+        key, bound = _pack(zip(mon[::2], mon[1::2]), bits)
+        assert _unpack(key, bits) == mon
+        assert bound == max((abs(e) for e in mon[1::2]), default=0)
+        assert LaurentPoly([(mon, 3)]).terms() == {mon: 3}
 
 
 @st.composite
-def _monomial_pairs(draw):
+def _monomial_pairs(draw, limit):
     """Two monomials whose exponents add without passing the limit; the
     second often repeats codes of the first, and sometimes cancels its
     invertible part."""
-    half = _EXP_LIMIT // 2 - 1
+    half = limit // 2 - 1
     a = draw(_monomials(half))
     b = draw(_monomials(half))
     exps = dict(zip(b[::2], b[1::2]))
@@ -452,13 +543,14 @@ def _monomial_pairs(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_monomial_pairs())
-def test_packed_product_matches_tuple_merge(pair):
-    a, b = pair
-    assert _packed_mul(a, b) == _tuple_mon_mul(a, b)
-    inverse = tuple(x if i % 2 == 0 else -x for i, x in enumerate(a))
-    if all(code in _INVERTIBLE for code in a[::2]):
-        assert _packed_mul(a, inverse) == ()
+@given(data=st.data())
+def test_packed_product_matches_tuple_merge(data):
+    for bits, limit in WIDTHS:
+        a, b = data.draw(_monomial_pairs(limit))
+        assert _packed_mul(a, b, bits) == _tuple_mon_mul(a, b)
+        inverse = tuple(x if i % 2 == 0 else -x for i, x in enumerate(a))
+        if all(code in _INVERTIBLE for code in a[::2]):
+            assert _packed_mul(a, inverse, bits) == ()
 
 
 def test_slot_range():

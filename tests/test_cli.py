@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import implicitseries.cli as cli
-from implicitseries.algebra import ZERO, LaurentPoly, fsym, xsym
+from implicitseries.algebra import ZERO, LaurentPoly, fcode, fsym, xcode, xsym
 from implicitseries.combinatorics import bell_partial
 from implicitseries.expr import MAX_NESTING
 from implicitseries.implicit import CoeffTable, TableError, builtin_table, expand
@@ -860,6 +860,27 @@ def test_the_worker_hands_back_newtons_value(table, tag):
         [type(c) for c in v._terms.values()] for v in want.y]
     assert [d["monomials"] for d in got.diagnostics] == [
         d["monomials"] for d in want.diagnostics]
+
+
+def test_a_marshalled_outcome_comes_back_at_the_width_of_each_value():
+    # the keys of a value whose exponent bound reaches 64 are packed wider
+    # than those of a small one; marshal carries each value's term dict and
+    # bound, and each must come back equal, hashing alike and printing alike
+    f01 = fsym(0, 1)
+    wide = fsym(1, 0) ** 70 * f01 ** -3 + 2 * xsym(2)
+    coarse = (f01 ** 40 * fsym(2, 0)) * f01 ** -40  # fsym(2, 0) by a bound past 64
+    narrow = 3 * fsym(1, 1) * f01 ** -2 - 1
+    want = cli.ExpansionResult(4, "newton", [wide, narrow, coarse, ZERO],
+                               [{"m": m, "monomials": 1} for m in range(1, 5)])
+    tag, data = cli._dump_outcome(want)
+    assert tag == b"M"
+    got = cli._load_outcome(tag + data)
+    assert (got.order, got.method, got.diagnostics) == (want.order, want.method, want.diagnostics)
+    assert got.y == want.y == [wide, narrow, fsym(2, 0), ZERO]
+    assert [hash(v) for v in got.y] == [hash(v) for v in want.y]
+    assert [v.to_obj() for v in got.y] == [v.to_obj() for v in want.y]
+    assert [v._bound for v in got.y] == [v._bound for v in want.y]
+    assert got.y[0].terms() == {(fcode(0, 1), -3, fcode(1, 0), 70): 1, (xcode(2), 1): 2}
 
 
 def test_a_worker_raising_table_error_exits_1_as_on_the_sequential_path(
