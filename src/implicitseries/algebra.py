@@ -122,9 +122,6 @@ _WIDE_BITS = 16
 _SLOT_LIMIT = 1 << 16
 # the digit 2**(w - 1) of one slot, as w // 8 little-endian bytes
 _HALF_DIGIT = {w: (1 << (w - 1)).to_bytes(w // 8, "little") for w in (_NARROW_BITS, _WIDE_BITS)}
-# the digit 2**7 in each 8- or 16-bit slot, as the bytes of one slot
-_NARROW_BIAS = b"\x80"
-_WIDE_BIAS = b"\x80\x00"
 
 
 def _bits(bound: int) -> int:
@@ -210,17 +207,24 @@ def _unpack(key: int, bits: int, codes=None) -> tuple:
     return tuple(chain.from_iterable(_decode(key, bits, {} if codes is None else codes)[1]))
 
 
+def _repack_biases(n: int):
+    """The 8-bit half digit 2**7 in each of n slots, at 8 and at 16 bits
+    per slot: biased by it, every exponent below 2**7 is one nonnegative
+    byte, which moves between the widths as it is."""
+    return int.from_bytes(b"\x80" * n, "little"), int.from_bytes(b"\x80\x00" * n, "little")
+
+
 def _widen(terms: dict) -> dict:
     """A term dict keyed at 8 bits per slot, its exponents below
     _NARROW_LIMIT, repacked at 16."""
     out = {}
     for key, c in terms.items():
         n = key.bit_length() // 8 + 1
-        # biased by 2**7 a slot, each byte of the key is its digit + 2**7;
-        # spread the bytes 16 bits apart and take the bias off again
+        narrow, wide = _repack_biases(n)
+        # spread the biased bytes 16 bits apart and take the bias off again
         digits = bytearray(2 * n)
-        digits[::2] = (key + int.from_bytes(_NARROW_BIAS * n, "little")).to_bytes(n, "little")
-        out[int.from_bytes(digits, "little") - int.from_bytes(_WIDE_BIAS * n, "little")] = c
+        digits[::2] = (key + narrow).to_bytes(n, "little")
+        out[int.from_bytes(digits, "little") - wide] = c
     return out
 
 
@@ -230,13 +234,14 @@ def _narrowed(terms: dict):
     out = {}
     for key, c in terms.items():
         n = key.bit_length() // 16 + 1
-        biased = key + int.from_bytes(_WIDE_BIAS * n, "little")
+        narrow, wide = _repack_biases(n)
+        biased = key + wide
         if biased < 0:  # a digit below -2**7
             return None
         digits = biased.to_bytes(2 * n, "little")
         if digits[1::2].count(0) < n:  # a digit past the low byte of its slot
             return None
-        out[int.from_bytes(digits[::2], "little") - int.from_bytes(_NARROW_BIAS * n, "little")] = c
+        out[int.from_bytes(digits[::2], "little") - narrow] = c
     return out
 
 

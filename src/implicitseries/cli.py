@@ -533,8 +533,9 @@ def _dump_outcome(outcome):
     coefficients are all ints goes by marshal, as each polynomial's term
     dict and exponent bound, all that `LaurentPoly._raw` takes to rebuild
     it (the bound also fixes how the dict's keys are packed): marshal is
-    loaded in every process, where the first pickle costs an import.  Anything else, a Fraction coefficient
-    or an exception, goes by pickle."""
+    loaded in every process, where the first pickle costs an import.
+    Anything else, a Fraction coefficient or an exception, goes by
+    pickle."""
     import marshal
 
     if isinstance(outcome, ExpansionResult):
