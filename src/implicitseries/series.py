@@ -12,14 +12,13 @@ binary operations demand equal orders and raise MixedOrderError otherwise.
 """
 
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import chain, repeat
+from functools import lru_cache
+from itertools import accumulate, chain, repeat
 from math import comb, gcd, lcm
 from operator import add, mul, sub
 
 from .algebra import (LaurentPoly, NotInvertibleError, as_coefficient, div_int, dot,
                       invert_scalar, power)
-from .combinatorics import bell_eval
 
 _ZERO = 0
 _ONE = 1
@@ -191,14 +190,15 @@ def _ode_rows(f, g0, a, divide=None, s=None):
     TAOCP Vol. 2, 4.7), 1 / F is a = -1, R / F is a = -1 with S = R, log F
     is a = 0 with S = F, and exp F is a = 1 with L = 1.
 
-    A row is a scalar (a one-variable series) or a series in y (a
-    bivariate one, row m of order N - m), and divide is the product by the
-    scalar 1 / F_0 or `_divider`'s solve, whose one divider of F_0's order
-    serves every shorter row.  Each row is one `_add_products` pass, at the
-    order of F_(m+1); a zero weight, F_j or G_(m+1-j) makes no product, so
-    a base with r nonzero rows costs about r N row products.  Each row is
-    tested for zero once, as it is made, as the test of a series in y reads
-    every coefficient."""
+    A row is a scalar (a one-variable series, for `TaylorEGF.exp` alone) or
+    a series in y (a bivariate one, row m of order N - m, for
+    `BivariateEGF.__truediv__`, `pow_int`, `exp` and `log`), and divide is
+    `_divider`'s solve, whose one divider of F_0's order serves every
+    shorter row.  Each row is one `_add_products` pass, at the order of
+    F_(m+1); a zero weight, F_j or G_(m+1-j) makes no product, so a base
+    with r nonzero rows costs about r N row products.  Each row is tested
+    for zero once, as it is made, as the test of a series in y reads every
+    coefficient."""
     g, live_g = [g0], [bool(g0)]
     # the j >= 1 of the nonzero F_j up to row m + 1, and rows m, m + 1 of
     # Pascal's triangle: a C(m, j-1) - C(m, j) = (a+1) C(m, j-1) - C(m+1, j)
@@ -258,8 +258,10 @@ def _divider(f0):
     denominator of F_0, carries n log2(a) bits instead, which made a dense
     divisor such as exp(y / 3) 20-40 times slower at N = 40-80.  A
     LaurentPoly c is the unit inverse of a unit monomial F_0[0], and a
-    polynomial counts as having denominator 1.  Raises NotInvertibleError,
-    as `TaylorEGF.reciprocal` does, when F_0[0] is not a unit."""
+    polynomial counts as having denominator 1.  Raises NotInvertibleError
+    when F_0[0] is not a unit.  Its callers: `TaylorEGF.reciprocal` (of 1),
+    `TaylorEGF.log` (of F') and, row by row through `_ode_rows`,
+    `BivariateEGF.__truediv__`, `pow_int` and `log`."""
     c0 = f0.coeffs[0]
     try:
         inv = invert_scalar(c0)
@@ -407,12 +409,7 @@ class TaylorEGF:
 
     def reciprocal(self):
         """Multiplicative inverse; the constant term must be a unit."""
-        try:
-            inv0 = invert_scalar(self.coeffs[0])
-        except NotInvertibleError:
-            raise NotInvertibleError(
-                f"constant term is not invertible: {self.coeffs[0]}") from None
-        return TaylorEGF(_ode_rows(self.coeffs, inv0, -1, partial(mul, inv0)))
+        return _divider(self)(TaylorEGF.one(self.order))
 
     def coeff_of_power(self, exponent, n):
         """Coefficient n of self**exponent, exponent any integer."""
@@ -421,37 +418,31 @@ class TaylorEGF:
         return self.pow_int(exponent).coeffs[n]
 
     def compose(self, inner):
-        """self(inner(x)); the inner series must kill its constant term."""
+        """self(inner(x)), the `BivariateEGF.substitute_y` of the triangle whose
+        row 0 is self; the inner series must kill its constant term."""
         self._check(inner)
         if inner.coeffs[0]:
             raise ConstantTermError("composition needs a zero inner constant term")
-        args = inner.coeffs[1:]
-        bell_memo = {}
-        return TaylorEGF([self.coeffs[0]] + [
-            dot([(1, self.coeffs[k], bell_eval(n, k, args, bell_memo))
-                 for k in range(1, n + 1) if self.coeffs[k]])
-            for n in range(1, self.order + 1)])
+        return BivariateEGF._triangle(
+            self.order, {(0, n): c for n, c in enumerate(self.coeffs) if c}).substitute_y(inner)
 
     def reversion(self):
         """Compositional inverse h, h(self(x)) = x through the order.
-        Needs zero constant term and invertible linear term."""
+        Needs zero constant term and invertible linear term.  By Lagrange
+        inversion (Gessel, JCTA 144, 2016), h_n is coefficient n - 1 of
+        A^-n, A = self(y) / y, A_i = g_(i+1) / (i + 1)."""
         g = self.coeffs
         if self.order < 1:
             raise ValueError("reversion needs order >= 1")
         if g[0]:
             raise ConstantTermError("reversion needs a zero constant term")
         try:
-            inv1 = invert_scalar(g[1])
+            r = TaylorEGF._raw([div_int(c, i) for i, c in enumerate(g[1:], 1)]).reciprocal()
         except NotInvertibleError:
-            raise NotInvertibleError(
-                f"linear term is not invertible: {g[1]}") from None
-        args = g[1:]
-        bell_memo = {}
-        h = [_ZERO, inv1]
-        for n in range(2, self.order + 1):
-            s = dot([(1, h[k], bell_eval(n, k, args, bell_memo)) for k in range(1, n) if h[k]])
-            h.append(as_coefficient(-(s * inv1 ** n)))
-        return TaylorEGF(h)
+            raise NotInvertibleError(f"linear term is not invertible: {g[1]}") from None
+        # r, r^2, ..., r^N by N - 1 series products
+        powers = accumulate(repeat(r, self.order), mul)
+        return TaylorEGF._raw([_ZERO, *(p.coeffs[n] for n, p in enumerate(powers))])
 
     def exp(self):
         """Series exponential; needs a zero constant term."""
@@ -463,7 +454,7 @@ class TaylorEGF:
         """Series logarithm; needs constant term exactly 1."""
         if self.coeffs[0] != 1:
             raise ConstantTermError("log needs constant term 1")
-        return TaylorEGF(_ode_rows(self.coeffs, _ZERO, 0, partial(mul, _ONE), self.coeffs))
+        return TaylorEGF._raw((_ZERO, *_divider(self)(TaylorEGF._raw(self.coeffs[1:])).coeffs))
 
 
 class BivariateEGF:

@@ -388,6 +388,23 @@ def test_values_past_the_narrow_range_hash_alike_at_either_bound():
     assert built.sorted_records() == coarse.sorted_records()
 
 
+@pytest.mark.parametrize("ways", [
+    # 200 needs a digit past the low byte of its slot
+    lambda f01, f10: (f01 ** 200, (f01 ** 100) ** 2, LaurentPoly([((F01, 200), 1)]),
+                      f01 ** 300 * f01 ** -100),
+    # -129 is a digit below -2**7
+    lambda f01, f10: (f01 ** -129 * f10, f10 * f01 ** -100 * f01 ** -29,
+                      LaurentPoly([((F01, -129, F10, 1), 1)])),
+], ids=["past-127", "below-minus-128"])
+def test_values_with_no_8_bit_digit_hash_alike_however_built(ways):
+    # the hash reads 16-bit keys at 8 bits only when every exponent has a
+    # balanced 8-bit digit; past that it hashes the 16-bit keys as they are
+    values = ways(fsym(0, 1), fsym(1, 0))
+    assert all(v == values[0] for v in values)
+    assert len({hash(v) for v in values}) == 1
+    assert len(set(values)) == 1
+
+
 def test_values_held_at_either_width_are_interchangeable():
     rng = random.Random(64)
     f01 = fsym(0, 1)

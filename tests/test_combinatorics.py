@@ -44,6 +44,7 @@ def test_partition_sequences_examples_and_order():
     assert seqs == sorted(seqs)
     assert partition_sequences(0, 0, 1) == [(0,)]
     assert partition_sequences(3, 5, 3) == []
+    assert partition_sequences(-1, 1, 3) == [] == partition_sequences(2, -1, 3)
 
 
 def test_compositions_against_product_search():
@@ -58,6 +59,7 @@ def test_compositions_against_product_search():
 
 def test_compositions_order():
     assert compositions(2, 2) == [(0, 2), (1, 1), (2, 0)]
+    assert compositions(-1, 2) == []
 
 
 def _bell_brute(n, k):

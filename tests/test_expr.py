@@ -204,6 +204,8 @@ def test_parse_errors_carry_position_and_expectations():
         parse("exp x")
     with pytest.raises(ParseError):
         parse("")
+    with pytest.raises(ParseError, match="exponent tower with a negative upper level"):
+        parse("y^2^-1-x")
 
 
 def test_no_implicit_multiplication():

@@ -1,7 +1,8 @@
 """Source hygiene that needs no linter: no module imports a name it never
 uses, the package defines no function or class that nothing uses, no
-cache of the package can grow without bound, and importing the package
-loads no stdlib module beyond those it names.
+cache of the package can grow without bound, `series` imports from the
+package only `algebra`, and importing the package loads no stdlib module
+beyond those it names.
 
 The checks read the syntax tree with the standard library's `ast`.  A name
 counts as used when the module reads it anywhere or lists it in `__all__`,
@@ -133,6 +134,38 @@ def test_no_cache_grows_with_every_distinct_input():
                  for name, obj in vars(module).items()
                  if callable(getattr(obj, "cache_info", None)) and obj.cache_info().maxsize is None]
     assert unbounded == []
+
+
+def package_imports(source):
+    """The package modules a source imports: its relative imports and its
+    imports of implicitseries by name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            top, _, module = (node.module or "").partition(".")
+            if node.level:
+                module = node.module
+            elif top != "implicitseries":
+                continue
+            out |= {module} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {a.name.partition(".")[2] for a in node.names
+                    if a.name.startswith("implicitseries.")}
+    return sorted(out)
+
+
+def test_the_scan_sees_relative_and_absolute_package_imports():
+    src = ("import os\nimport implicitseries.expr\nfrom math import comb\n"
+           "from .algebra import x\nfrom . import combinatorics\n"
+           "from implicitseries.cli import main\nfrom implicitseries import series\n")
+    assert package_imports(src) == ["algebra", "cli", "combinatorics", "expr", "series"]
+
+
+def test_series_imports_from_the_package_only_algebra():
+    # one home per one-variable series operation: series builds reciprocals,
+    # composition and reversion on its own kernels, not on combinatorics
+    assert package_imports((ROOT / "src" / "implicitseries" / "series.py").read_text()) \
+        == ["algebra"]
 
 
 # every stdlib module the package imports by name; what these load in turn

@@ -132,6 +132,9 @@ def test_builtin_tables():
     assert [lam.entry(0, n) for n in range(5)] == [0, 1, 2, 3, 4]
     with pytest.raises(TableError):
         builtin_table("cubic", 4)
+    for name in ("geometric", "lambert"):
+        with pytest.raises(TableError, match="at least 1"):
+            builtin_table(name, 0)
 
 
 def test_column_series_and_bivariate_view():
@@ -144,6 +147,7 @@ def test_column_series_and_bivariate_view():
     assert column_series(t, 1, order=1).coeffs == (1, 0)
     f = as_bivariate(t, 2)
     assert f.coeffs == ((0, 1, 2), (-1, 0), (0,))
+    assert as_bivariate(t).coeffs == ((0, 1, 2, 3), (-1, 0, 0), (0, 0), (0,))
     for n, order in ((4, None), (1, 3), (3, 1)):
         with pytest.raises(TableError):
             column_series(t, n, order)
@@ -807,6 +811,12 @@ def test_specialize_rejects_foreign_symbols():
     t = builtin_table("geometric", 2)
     with pytest.raises(ValueError):
         specialize(xsym(1), t)
+
+
+def test_specialize_of_a_scalar_is_its_canonical_form():
+    t = builtin_table("geometric", 2)
+    two, third = specialize(Fraction(4, 2), t), specialize(Fraction(1, 3), t)
+    assert (two, type(two), third, type(third)) == (2, int, Fraction(1, 3), Fraction)
 
 
 # -- canonical scalars, bounded state, diagnostics ---------------------------

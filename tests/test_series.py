@@ -158,7 +158,7 @@ def test_reciprocal_random_round_trip():
 
 
 def test_reciprocal_needs_unit():
-    with pytest.raises(NotInvertibleError):
+    with pytest.raises(NotInvertibleError, match="constant term is not invertible: 0"):
         TaylorEGF([0, 1, 1]).reciprocal()
 
 
@@ -207,7 +207,7 @@ def test_compose_matches_plain_oracle():
 
 
 def test_compose_requires_zero_inner_constant():
-    with pytest.raises(ConstantTermError):
+    with pytest.raises(ConstantTermError, match="composition needs a zero inner constant term"):
         TaylorEGF([1, 1]).compose(TaylorEGF([1, 1]))
 
 
@@ -238,10 +238,9 @@ def test_exp_log_round_trips():
 def test_exp_log_domain_errors():
     with pytest.raises(ConstantTermError):
         TaylorEGF([1, 1]).exp()
-    with pytest.raises(ConstantTermError):
-        TaylorEGF([2, 1]).log()
-    with pytest.raises(ConstantTermError):
-        TaylorEGF([0, 1]).log()
+    for c0 in (2, 0):
+        with pytest.raises(ConstantTermError, match="log needs constant term 1"):
+            TaylorEGF([c0, 1]).log()
 
 
 def test_exp_is_homomorphism_from_addition():
@@ -278,10 +277,12 @@ def test_reversion_known_value():
 
 
 def test_reversion_domain_errors():
-    with pytest.raises(ConstantTermError):
+    with pytest.raises(ConstantTermError, match="reversion needs a zero constant term"):
         TaylorEGF([1, 1]).reversion()
-    with pytest.raises(NotInvertibleError):
+    with pytest.raises(NotInvertibleError, match="linear term is not invertible: 0"):
         TaylorEGF([0, 0, 1]).reversion()
+    with pytest.raises(NotInvertibleError, match="linear term is not invertible"):
+        TaylorEGF([0, fsym(1, 0), 1]).reversion()
 
 
 @pytest.mark.parametrize("build,error", [
