@@ -18,11 +18,11 @@ longest of the three.  At N=10 (fresh processes, 2-vCPU host, Python
 document; it then loads newton's result (2-3 ms), checks the agreement
 (1 ms) and copies the staged bytes (2 ms).  With a CPU each the two
 processes finish rendering and newton within a few ms of each other,
-and a run takes 0.06-0.07 s; where they share one CPU the fork gains
-nothing (0.116 s against 0.107 s run one after another, medians of
-twelve), so a process that may run on one CPU only runs the methods
-one after another, as it does where os.fork is missing and on rational
-tables, where the fork costs more than newton takes.
+and a run takes 0.06-0.07 s.  Pinned to one CPU with taskset, the fork
+neither gains nor loses (0.111 s forked against 0.112 s run one after
+another, medians of twelve).  On rational tables, where the fork costs
+more than newton takes, and where os.fork is missing, the methods run
+one after another in this process.
 
 Flags are read with getopt, not argparse.  argparse's first parser in a
 process sends its titles through gettext, whose first lookup imports
@@ -614,15 +614,11 @@ def _expand_all_forked(table, args):
 
 def _forks_newton(table):
     """Whether --method all runs newton in a forked worker: on symbolic
-    tables, where newton is the long pole, where fork exists and this
-    process may run on two CPUs or more (by os.cpu_count() where
-    os.sched_getaffinity is missing).  On a rational table fork costs more
-    than newton takes."""
+    tables, where newton is the long pole, where fork exists.  On a
+    rational table fork costs more than newton takes."""
     import os
 
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return table.mode == "symbolic" and hasattr(os, "fork") and cpus >= 2
+    return table.mode == "symbolic" and hasattr(os, "fork")
 
 
 def _expand_per_config(args):

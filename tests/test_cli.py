@@ -674,16 +674,11 @@ def _count_forks(monkeypatch):
     return forks
 
 
-def _pin_cpus(monkeypatch, cpus):
-    """Make this process see itself allowed on the given set of CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
-
-
 def _run_on_both_paths(capsys, monkeypatch, tmp_path, *argv):
     """{path: (code, stdout, stderr, text of --out or None)} of the run on
-    the worker path, on two CPUs whatever the host has, and on the
-    sequential one, each once to stdout and once with --out, which must
-    agree; the worker path forks once and leaves no staging file."""
+    the worker path and on the sequential one, each once to stdout and
+    once with --out, which must agree; the worker path forks once and
+    leaves no staging file."""
     staging = tmp_path / "staging"
     staging.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(staging))
@@ -693,7 +688,6 @@ def _run_on_both_paths(capsys, monkeypatch, tmp_path, *argv):
             if path == "sequential":
                 m.delattr(os, "fork")
             else:
-                _pin_cpus(m, {0, 1})
                 forks = _count_forks(m)
             code, out, err = run(capsys, *argv)
             out_file = tmp_path / f"{path}.json"
@@ -716,30 +710,6 @@ def test_symbolic_method_all_prints_the_golden_bytes_on_both_paths(
     code, out, err, _ = _run_on_both_paths(capsys, monkeypatch, tmp_path, *args)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
-
-
-def _one_cpu_by_count(m):
-    """No sched_getaffinity, as on macOS, and one CPU by os.cpu_count."""
-    m.delattr(os, "sched_getaffinity", raising=False)
-    m.setattr(os, "cpu_count", lambda: 1)
-
-
-@pytest.mark.parametrize("one_cpu", [lambda m: _pin_cpus(m, {0}), _one_cpu_by_count],
-                         ids=["affinity", "cpu-count"])
-def test_symbolic_method_all_on_one_cpu_never_forks_and_prints_the_same_bytes(
-        capsys, monkeypatch, one_cpu):
-    # two processes on one CPU take turns, so the fork would gain nothing
-    with monkeypatch.context() as m:
-        _pin_cpus(m, {0, 1})
-        forks = _count_forks(m)
-        forked = run(capsys, *SYMBOLIC_ALL)
-    assert len(forks) == 1
-    with monkeypatch.context() as m:
-        one_cpu(m)
-        forks = _count_forks(m)
-        assert run(capsys, *SYMBOLIC_ALL) == forked
-    assert forks == []
-    assert forked[0] == 0 and forked[2] == ""
 
 
 def test_rational_method_all_never_forks(capsys, monkeypatch):
@@ -783,7 +753,6 @@ def test_worker_ending_without_a_result_exits_4(capsys, monkeypatch, tmp_path, e
         return real(table, order, method)
 
     monkeypatch.setattr(cli, "expand", vanishing_newton)
-    _pin_cpus(monkeypatch, {0, 1})
     path = tmp_path / "r.json"
     code, out, err = run(capsys, *SYMBOLIC_ALL, "--out", str(path))
     _assert_no_child_left()
